@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share-test", action="store_true",
                    help="reuse one held-out sample for every cell")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (never changes the numbers)")
+                   help="worker threads (never changes the numbers); they "
+                   "supply the parallelism, so BLAS runs single-threaded "
+                   "for the sweep and is restored afterwards")
     _add_solver_flags(p)
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", required=True, help="output sweep CSV")

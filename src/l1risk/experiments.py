@@ -7,9 +7,13 @@ across threads) without changing the emitted aggregates.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,72 @@ from l1risk.solvers import SolveConfig, solve_constrained, solve_penalized, \
 # the per-step decrease scales like the squared stationarity residual, so the
 # threshold must sit well below CERTIFICATE_TOL^2 for cells to certify.
 DEFAULT_SWEEP_CONFIG = SolveConfig(tol=1e-13)
+
+# (get, set) thread-count entry points: the pip wheel's scipy-openblas
+# build first, then plain OpenBLAS with and without the 64-bit suffix.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None
+    when numpy's `numpy.libs` directory holds none (MKL, Accelerate, a
+    system BLAS)."""
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context that holds OpenBLAS to one thread while any block is inside.
+
+    OpenBLAS's thread count is process-wide, so one instance guards it: the
+    first block to enter saves the count, the last to exit restores it, so
+    nested and concurrent blocks never restore the pinned value. Without
+    numpy's OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        api = _openblas()
+        if api is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = api[0]()
+                    api[1](1)
+                self._depth += 1
+
+    def __exit__(self, *exc_info):
+        api = _openblas()
+        if api is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    api[1](self._saved)
+
+
+# Sweep workers supply the parallelism; OpenBLAS threads would compete with
+# them for the same cores.
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @dataclass(frozen=True)
@@ -128,6 +198,11 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     set of size test_n from [seed, lambda_index, rep, 1]. With share_test a
     single test set is drawn from [seed, 0, 0, 1] and reused everywhere.
     progress, if given, is called as progress(done, total) after each cell.
+
+    threads worker threads run the cells and supply the parallelism, so
+    while the cells run, OpenBLAS is held to one thread; its previous thread
+    count is restored on return, also when a cell or progress raises. Any
+    threads value gives the same rows, bit for bit.
     """
     if scenario.kind != "section4":
         raise ValueError("lambda_sweep expects a section4 scenario")
@@ -136,6 +211,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         raise ValueError("need at least one lambda")
     if reps < 1 or test_n < 1:
         raise ValueError("reps and test_n must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     big_m = int(scenario.params["big_m"])
     convention = scenario.params.get("variance_convention", "var")
     shared = gen_section4(test_n, big_m, [seed, 0, 0, 1], convention) \
@@ -148,20 +225,20 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         return _sweep_cell(scenario, test_n, lambdas[li], cfg, seed, li, rep,
                            shared, loss)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, c) for c in cells]
-            results = []
-            for done, f in enumerate(futures, start=1):
-                results.append(f.result())
+    results = []
+    with _ONE_BLAS_THREAD:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(run, c) for c in cells]
+                for done, f in enumerate(futures, start=1):
+                    results.append(f.result())
+                    if progress is not None:
+                        progress(done, len(cells))
+        else:
+            for done, cell in enumerate(cells, start=1):
+                results.append(run(cell))
                 if progress is not None:
                     progress(done, len(cells))
-    else:
-        results = []
-        for done, cell in enumerate(cells, start=1):
-            results.append(run(cell))
-            if progress is not None:
-                progress(done, len(cells))
 
     rows = []
     for li, lam in enumerate(lambdas):
@@ -193,8 +270,9 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
+    ns = list(ns)
     points = []
-    total = len(list(ns)) * reps
+    total = len(ns) * reps
     done = 0
     for ni, n in enumerate(ns):
         if n < 10:

@@ -1,10 +1,13 @@
 """Experiment drivers: sweeps, persistence curve, ridge contrast, probes."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from l1risk import experiments
 from l1risk.experiments import (
     PersistencePoint,
     SweepRow,
@@ -51,6 +54,77 @@ def test_lambda_sweep_threads_do_not_change_the_answer():
     assert rows == threaded
 
 
+def test_lambda_sweep_threads_do_not_change_the_answer_on_blas_sized_designs():
+    # 200 x 305 products are large enough for OpenBLAS to split across threads
+    spec = ScenarioSpec("section4", 200, {"big_m": 300})
+    rows = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, cfg=FAST,
+                        seed=4, threads=1)
+    threaded = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, cfg=FAST,
+                            seed=4, threads=2)
+    assert rows == threaded
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """numpy's OpenBLAS (get, set), set to two threads for the test."""
+    api = experiments._openblas()
+    if api is None:
+        pytest.skip("numpy does not use a bundled OpenBLAS")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lambda_sweep_runs_one_blas_thread_and_restores_the_count(
+        openblas_at_two_threads, threads):
+    get = openblas_at_two_threads
+    seen = []
+    lambda_sweep(SMALL, [0.1], reps=2, test_n=30, cfg=FAST, threads=threads,
+                 progress=lambda done, total: seen.append(get()))
+    assert seen == [1, 1]
+    assert get() == 2
+
+    def fail(done, total):
+        raise RuntimeError("progress failed")
+
+    with pytest.raises(RuntimeError):
+        lambda_sweep(SMALL, [0.1], reps=2, test_n=30, cfg=FAST,
+                     threads=threads, progress=fail)
+    assert get() == 2
+
+
+def test_concurrent_one_blas_thread_blocks_restore_the_outer_count(
+        openblas_at_two_threads):
+    get = openblas_at_two_threads
+    inside = []
+    start = threading.Barrier(4)
+
+    def worker():
+        start.wait(timeout=30)
+        for _ in range(5000):
+            with experiments._ONE_BLAS_THREAD:
+                inside.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(inside) == 20000 and set(inside) == {1}
+    assert get() == 2
+
+
 def test_lambda_sweep_shared_test_reuses_one_draw():
     fresh = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2)
     shared = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2,
@@ -64,6 +138,10 @@ def test_lambda_sweep_validation():
         lambda_sweep(SMALL, [], reps=1, test_n=10, cfg=FAST)
     with pytest.raises(ValueError):
         lambda_sweep(SMALL, [0.1], reps=0, test_n=10, cfg=FAST)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            lambda_sweep(SMALL, [0.1], reps=1, test_n=10, cfg=FAST,
+                         threads=threads)
     null_spec = ScenarioSpec("null", 20, {"m": 3, "sigma": 1.0})
     with pytest.raises(ValueError):
         lambda_sweep(null_spec, [0.1], reps=1, test_n=10, cfg=FAST)
@@ -89,6 +167,15 @@ def test_persistence_curve_small_instance():
     assert p.budget == pytest.approx(math.sqrt(2))
     # excess risk is ||beta - beta*||^2, nonnegative by construction
     assert p.excess_risk >= 0.0
+
+
+def test_persistence_curve_accepts_an_iterator_of_ns():
+    from_tuple = persistence_curve((20, 40), alpha=1.1, support_size=2,
+                                   reps=1, cfg=FAST, seed=5)
+    from_iter = persistence_curve(iter([20, 40]), alpha=1.1, support_size=2,
+                                  reps=1, cfg=FAST, seed=5)
+    assert [p.n for p in from_iter] == [20, 40]
+    assert from_iter == from_tuple
 
 
 def test_persistence_curve_validation():
