@@ -21,6 +21,7 @@ from l1risk.experiments import (
     sup_deviation,
 )
 from l1risk.io import (
+    _coefficients_1based,
     atomic_write_text,
     meta_path,
     read_coefficients,
@@ -369,10 +370,7 @@ def cmd_deviation(args) -> int:
         meta = d.meta or {}
         params = meta.get("params", {})
         if meta.get("scenario") == "sparse_linear":
-            values = np.zeros(d.m)
-            for idx, v in params["beta_star"]:
-                values[int(idx) - 1] = float(v)
-            beta_star = Coefficients(values)
+            beta_star = _coefficients_1based(d.m, params["beta_star"])
         elif meta.get("scenario") == "null":
             beta_star = Coefficients.zeros(d.m)
         else:

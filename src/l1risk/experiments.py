@@ -1,9 +1,12 @@
 """Experiment harnesses: lambda sweeps, constrained-fit scaling curves, and
 diagnostics built on the solvers and generators.
 
-Every harness derives per-repetition seeds from a single master seed so that
-reruns are bit-identical and repetitions can execute in any order (including
-across threads) without changing the emitted aggregates.
+The three repeated-draw harnesses each build a list of cells (one seeded
+draw plus its fits), a per-cell function and an aggregation; `_run_cells`
+runs the cells, serially or on a thread pool. Every cell derives its seeds
+from the master seed and its own indices, so reruns are bit-identical and
+cells can run in any order (including across threads) without changing the
+emitted aggregates.
 """
 from __future__ import annotations
 
@@ -169,22 +172,32 @@ class RidgeComparison:
         return float(np.mean(self.selected_risks))
 
 
-def _sweep_cell(scenario, test_n, lam, cfg, seed, li, rep, shared_test, loss):
-    train = generate(scenario, [seed, li, rep, 0])
-    test = shared_test if shared_test is not None else gen_section4(
-        test_n, int(scenario.params["big_m"]), [seed, li, rep, 1],
-        scenario.params.get("variance_convention", "var"))
-    beta, report = solve_penalized(train, loss, lam, cfg)
-    rel = train.meta["relevant_range"]  # inclusive 1-based ranges
-    prox = train.meta["proxy_range"]
-    return (
-        empirical_risk(train, beta, loss),
-        empirical_risk(test, beta, loss),
-        group_l1(beta, range(rel[0], rel[1] + 1)),
-        group_l1(beta, range(prox[0], prox[1] + 1)),
-        beta.l1_norm,
-        report.converged,
-    )
+def _run_cells(cells, fn, threads=1, progress=None) -> list:
+    """fn(cell) for every cell, in cell order.
+
+    With threads > 1 the cells run on a pool of that many threads, otherwise
+    in the calling thread. progress, if given, is called as
+    progress(done, total) once per cell, in cell order. When a cell or
+    progress raises, cells not yet started are cancelled before the error
+    propagates.
+    """
+    cells = list(cells)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        if pool is None:
+            outcomes = map(fn, cells)
+        else:
+            futures = [pool.submit(fn, cell) for cell in cells]
+            outcomes = (future.result() for future in futures)
+        results = []
+        for done, result in enumerate(outcomes, start=1):
+            results.append(result)
+            if progress is not None:
+                progress(done, len(cells))
+        return results
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
@@ -218,27 +231,26 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     shared = gen_section4(test_n, big_m, [seed, 0, 0, 1], convention) \
         if share_test else None
 
-    cells = [(li, rep) for li in range(len(lambdas)) for rep in range(reps)]
-
-    def run(cell):
+    def sweep_cell(cell):
         li, rep = cell
-        return _sweep_cell(scenario, test_n, lambdas[li], cfg, seed, li, rep,
-                           shared, loss)
+        train = generate(scenario, [seed, li, rep, 0])
+        test = shared if shared is not None else gen_section4(
+            test_n, big_m, [seed, li, rep, 1], convention)
+        beta, report = solve_penalized(train, loss, lambdas[li], cfg)
+        rel = train.meta["relevant_range"]  # inclusive 1-based ranges
+        prox = train.meta["proxy_range"]
+        return (
+            empirical_risk(train, beta, loss),
+            empirical_risk(test, beta, loss),
+            group_l1(beta, range(rel[0], rel[1] + 1)),
+            group_l1(beta, range(prox[0], prox[1] + 1)),
+            beta.l1_norm,
+            report.converged,
+        )
 
-    results = []
+    cells = [(li, rep) for li in range(len(lambdas)) for rep in range(reps)]
     with _ONE_BLAS_THREAD:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run, c) for c in cells]
-                for done, f in enumerate(futures, start=1):
-                    results.append(f.result())
-                    if progress is not None:
-                        progress(done, len(cells))
-        else:
-            for done, cell in enumerate(cells, start=1):
-                results.append(run(cell))
-                if progress is not None:
-                    progress(done, len(cells))
+        results = _run_cells(cells, sweep_cell, threads, progress)
 
     rows = []
     for li, lam in enumerate(lambdas):
@@ -270,29 +282,35 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
+    if reps < 1:
+        raise ValueError("reps must be positive")
     ns = list(ns)
-    points = []
-    total = len(ns) * reps
-    done = 0
-    for ni, n in enumerate(ns):
-        if n < 10:
-            raise ValueError("each n must be at least 10")
+    if any(n < 10 for n in ns):
+        raise ValueError("each n must be at least 10")
+    budget = math.sqrt(support_size)
+    targets = []  # (scenario, beta*, population risk of beta*) per n
+    for n in ns:
         m = math.ceil(n ** alpha)
         beta_star = sparse_unit_vector(m, support_size)
-        budget = math.sqrt(support_size)
         spec = ScenarioSpec("sparse_linear", n,
                             {"m": m, "beta_star": beta_star, "sigma": sigma})
-        base = true_risk_gaussian(beta_star, beta_star, sigma)
-        excesses = []
-        for rep in range(reps):
-            train = gen_sparse_linear(spec, [seed, ni, rep])
-            beta, _ = solve_constrained(train, SQUARED, budget, cfg)
-            excesses.append(true_risk_gaussian(beta, beta_star, sigma) - base)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-        points.append(PersistencePoint(n=int(n), m=m,
-                                       excess_risk=float(np.median(excesses)),
+        targets.append((spec, beta_star,
+                        true_risk_gaussian(beta_star, beta_star, sigma)))
+
+    def persistence_cell(cell):
+        ni, rep = cell
+        spec, beta_star, base = targets[ni]
+        train = gen_sparse_linear(spec, [seed, ni, rep])
+        beta, _ = solve_constrained(train, SQUARED, budget, cfg)
+        return true_risk_gaussian(beta, beta_star, sigma) - base
+
+    cells = [(ni, rep) for ni in range(len(ns)) for rep in range(reps)]
+    excesses = _run_cells(cells, persistence_cell, progress=progress)
+    points = []
+    for ni, (spec, _, _) in enumerate(targets):
+        block = excesses[ni * reps:(ni + 1) * reps]
+        points.append(PersistencePoint(n=int(spec.n), m=spec.params["m"],
+                                       excess_risk=float(np.median(block)),
                                        budget=budget))
     return points
 
@@ -305,38 +323,42 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
     The population risk of any fit is sigma^2 + ||beta||_2^2 because y is
     independent of the design. Repetition r draws training data from stream
     [seed, r, 0] and a held-out set of the same size from [seed, r, 1]; the
-    held-out set picks the l1 budget per repetition.
+    held-out set picks the l1 budget per repetition (the first budget with
+    the lowest held-out risk).
     """
     budgets = [float(b) for b in l1_budgets]
     if not budgets:
         raise ValueError("need at least one l1 budget")
+    if reps < 1:
+        raise ValueError("reps must be positive")
     zero = Coefficients.zeros(m)
-    ridge_risks, boundary = [], []
-    budget_pop = np.zeros(len(budgets))
-    sel_budgets, sel_risks = [], []
-    for rep in range(reps):
+
+    def ridge_cell(rep):
         train = gen_null(n, m, sigma, [seed, rep, 0])
         held = gen_null(n, m, sigma, [seed, rep, 1])
         rbeta, _ = solve_ridge_constrained(train, SQUARED, delta, cfg)
-        ridge_risks.append(true_risk_gaussian(rbeta, zero, sigma))
-        boundary.append(rbeta.l2_norm / delta)
-        best = None
-        for bi, b in enumerate(budgets):
+        pops, held_risks = [], []
+        for b in budgets:
             lbeta, _ = solve_constrained(train, SQUARED, b, cfg)
-            pop = true_risk_gaussian(lbeta, zero, sigma)
-            budget_pop[bi] += pop
-            held_risk = empirical_risk(held, lbeta, SQUARED)
-            if best is None or held_risk < best[0]:
-                best = (held_risk, b, pop)
-        sel_budgets.append(best[1])
-        sel_risks.append(best[2])
-        if progress is not None:
-            progress(rep + 1, reps)
+            pops.append(true_risk_gaussian(lbeta, zero, sigma))
+            held_risks.append(empirical_risk(held, lbeta, SQUARED))
+        return (true_risk_gaussian(rbeta, zero, sigma),
+                rbeta.l2_norm / delta, pops, held_risks)
+
+    results = _run_cells(range(reps), ridge_cell, progress=progress)
+    budget_pop = [0.0] * len(budgets)
+    sel_budgets, sel_risks = [], []
+    for _, _, pops, held_risks in results:
+        for bi, pop in enumerate(pops):
+            budget_pop[bi] += pop  # left to right: np.sum rounds otherwise
+        best = held_risks.index(min(held_risks))
+        sel_budgets.append(budgets[best])
+        sel_risks.append(pops[best])
     return RidgeComparison(
         n=n, m=m, sigma=sigma, delta=delta, reps=reps, seed=seed,
-        ridge_risks=tuple(ridge_risks),
-        ridge_boundary=tuple(boundary),
-        budget_risks=tuple((b, float(budget_pop[bi] / reps))
+        ridge_risks=tuple(r[0] for r in results),
+        ridge_boundary=tuple(r[1] for r in results),
+        budget_risks=tuple((b, budget_pop[bi] / reps)
                            for bi, b in enumerate(budgets)),
         selected_budgets=tuple(sel_budgets),
         selected_risks=tuple(sel_risks),

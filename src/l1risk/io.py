@@ -85,6 +85,16 @@ def _nonzeros_1based(values: np.ndarray) -> list:
     return [[int(j) + 1, float(v)] for j, v in enumerate(values) if v != 0.0]
 
 
+def _coefficients_1based(m: int, nonzeros) -> Coefficients:
+    """Length-m coefficients from 1-based [index, value] pairs."""
+    values = np.zeros(m)
+    for idx, v in nonzeros:
+        if not 1 <= int(idx) <= m:
+            raise ValueError(f"coefficient index {idx} outside 1..{m}")
+        values[int(idx) - 1] = float(v)
+    return Coefficients(values)
+
+
 def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
                        params: dict = None) -> None:
     """Coefficient JSON: m, 1-based ascending nonzeros, norms, support size.
@@ -115,10 +125,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
 def read_coefficients(path) -> tuple[Coefficients, dict]:
     """Read coefficient JSON back; returns (coefficients, full record)."""
     record = json.loads(Path(path).read_text())
-    values = np.zeros(int(record["m"]))
-    for idx, v in record["nonzeros"]:
-        values[int(idx) - 1] = float(v)
-    return Coefficients(values), record
+    return _coefficients_1based(int(record["m"]), record["nonzeros"]), record
 
 
 def _csv_text(header: list, rows: list) -> str:

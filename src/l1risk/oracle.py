@@ -61,15 +61,15 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
         residual = d.y - xs @ values
         return values, float((residual * residual).mean()), False
     # smooth (sub)gradient descent on the restricted problem
-    values, _, obj, _, _, _, hit_cutoff = _descend(
+    run = _descend(
         xs, d.y, loss, penalty=lambda b: 0.0, prox=lambda v, _eta: v,
         cfg=_SUBSET_CFG, norm_cutoff=NORM_CUTOFF)
-    unbounded = hit_cutoff
+    unbounded = run.hit_cutoff
     if loss.kind == "exponential" and xs.shape[1]:
         # strictly separated margins: scaling the fit up keeps lowering the
         # risk, so the infimum is never attained
-        unbounded = unbounded or bool(np.all(d.y * (xs @ values) > 0.0))
-    return values, obj, unbounded
+        unbounded = unbounded or bool(np.all(d.y * (xs @ run.beta) > 0.0))
+    return run.beta, run.objective, unbounded
 
 
 def best_subset(d: Dataset, k: int, loss: LossSpec,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from l1risk.risk import Coefficients, Dataset, LossSpec, loss_terms
+from l1risk.risk import Coefficients, Dataset, LossSpec, empirical_gradient, \
+    loss_terms
 
 CERTIFICATE_TOL = 1e-5
 
@@ -58,11 +59,10 @@ class SolveReport:
 
 
 def soft_threshold(x, t):
-    """sign(x) * max(|x| - t, 0); scalar in, scalar out."""
+    """sign(x) * max(|x| - t, 0), elementwise (a float64 scalar for a scalar x)."""
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    out = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def project_l1(v, b: float) -> np.ndarray:
@@ -102,13 +102,27 @@ def project_l2(v, delta: float) -> np.ndarray:
     return v * (delta / norm)
 
 
+@dataclass(frozen=True)
+class _Descent:
+    """Where `_descend` stopped: the last accepted iterate, its gradient and
+    objective, the counts, the final step length and whether the iterate
+    crossed `norm_cutoff`."""
+
+    beta: np.ndarray
+    grad: np.ndarray
+    objective: float
+    iterations: int
+    rejections: int
+    eta: float
+    hit_cutoff: bool
+
+
 def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
     """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta).
 
     `prox(v, eta)` must return the proximal/projection step for step length
     eta. Candidate steps with nonfinite objective are rejected by the line
-    search, so exponential-loss overflow only shortens the step. Returns
-    (beta, grad, objective, iterations, rejections, eta, hit_cutoff).
+    search, so exponential-loss overflow only shortens the step.
     """
     n, m = x.shape
     beta = np.zeros(m)
@@ -158,7 +172,7 @@ def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
             break
         if move_sq == 0.0 or rel_change < cfg.tol:
             break
-    return beta, grad, obj, iterations, rejections, eta, hit_cutoff
+    return _Descent(beta, grad, obj, iterations, rejections, eta, hit_cutoff)
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
@@ -176,8 +190,6 @@ def kkt_residual(d: Dataset, loss: LossSpec, lam: float, beta: Coefficients) -> 
     """Stationarity residual of the l1-penalized objective at beta."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    from l1risk.risk import empirical_gradient
-
     return _stationarity_residual(empirical_gradient(d, beta, loss), lam, beta.values)
 
 
@@ -190,24 +202,26 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    beta, grad, obj, iters, rej, _, _ = _descend(
+    run = _descend(
         d.x, d.y, loss,
         penalty=lambda b: lam * float(np.abs(b).sum()),
         prox=lambda v, eta: soft_threshold(v, eta * lam),
         cfg=cfg, trace=trace)
-    residual = _stationarity_residual(grad, lam, beta)
-    report = SolveReport(iters, obj, residual, residual <= CERTIFICATE_TOL, rej)
-    return Coefficients(beta), report
+    residual = _stationarity_residual(run.grad, lam, run.beta)
+    report = SolveReport(run.iterations, run.objective, residual,
+                         residual <= CERTIFICATE_TOL, run.rejections)
+    return Coefficients(run.beta), report
 
 
 def _solve_projected(d, loss, project, cfg, trace):
-    beta, grad, obj, iters, rej, eta, _ = _descend(
+    run = _descend(
         d.x, d.y, loss, penalty=lambda b: 0.0,
         prox=lambda v, _eta: project(v), cfg=cfg, trace=trace)
-    fixed_point = beta - project(beta - eta * grad)
-    residual = float(np.sqrt(fixed_point @ fixed_point)) / eta
-    report = SolveReport(iters, obj, residual, residual <= CERTIFICATE_TOL, rej)
-    return Coefficients(beta), report
+    fixed_point = run.beta - project(run.beta - run.eta * run.grad)
+    residual = float(np.sqrt(fixed_point @ fixed_point)) / run.eta
+    report = SolveReport(run.iterations, run.objective, residual,
+                         residual <= CERTIFICATE_TOL, run.rejections)
+    return Coefficients(run.beta), report
 
 
 def solve_constrained(d: Dataset, loss: LossSpec, b: float,

@@ -1,12 +1,15 @@
 """Command-line interface: grids, flags, exit codes, reproducibility."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from l1risk.cli import ArgError, build_parser, main, parse_lambda_grid
+from l1risk.cli import COMMANDS, ArgError, build_parser, main, \
+    parse_lambda_grid
 from l1risk.io import read_coefficients, read_sweep, write_dataset
 from l1risk.simgen import gen_null
 
@@ -180,6 +183,10 @@ def test_persist_cli(tmp_path, capsys):
     assert len(lines) == 3
     assert main(["persist", "--ns", "a,b", "--seed", "9",
                  "--out", str(out)]) == 2
+    empty = tmp_path / "empty.csv"
+    assert main(["persist", "--ns", "20", "--reps", "0", "--seed", "9",
+                 "--out", str(empty)]) == 1
+    assert not empty.exists()
     capsys.readouterr()
 
 
@@ -192,6 +199,10 @@ def test_ridge_demo_cli(tmp_path, capsys):
     assert kinds == ["ridge", "l1", "l1", "l1_selected"]
     assert main(["ridge-demo", "--budgets", "0,x", "--seed", "4",
                  "--out", str(out)]) == 2
+    empty = tmp_path / "empty.csv"
+    assert main(["ridge-demo", "--reps", "0", "--seed", "4",
+                 "--out", str(empty)]) == 1
+    assert not empty.exists()
     capsys.readouterr()
 
 
@@ -219,3 +230,15 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simgen" in proc.stdout
+
+
+def test_readme_commands_parse():
+    """Every `l1risk ...` line in README's code blocks is a valid invocation."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    commands = [line.strip() for block in blocks for line in block.splitlines()
+                if line.strip().startswith("l1risk ")]
+    assert {shlex.split(c)[1] for c in commands} == set(COMMANDS)
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,38 @@ def test_concurrent_one_blas_thread_blocks_restore_the_outer_count(
     assert get() == 2
 
 
+def test_run_cells_stops_on_the_first_error():
+    threads = 2
+    lock = threading.Lock()
+    started = []
+    raised = threading.Event()
+
+    def cell(i):
+        with lock:
+            started.append(raised.is_set())
+        time.sleep(0.01)
+        return i
+
+    def fail(done, total):
+        raised.set()
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        experiments._run_cells(range(40), cell, threads, fail)
+    # a worker may already hold its next cell when the error propagates
+    assert started.count(True) <= threads
+
+
+def test_run_cells_keeps_cell_order():
+    for threads in (1, 3):
+        seen = []
+        results = experiments._run_cells(
+            range(7), lambda i: i * i, threads,
+            lambda done, total: seen.append((done, total)))
+        assert results == [i * i for i in range(7)]
+        assert seen == [(d, 7) for d in range(1, 8)]
+
+
 def test_lambda_sweep_shared_test_reuses_one_draw():
     fresh = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2)
     shared = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2,
@@ -178,11 +211,16 @@ def test_persistence_curve_accepts_an_iterator_of_ns():
     assert from_iter == from_tuple
 
 
-def test_persistence_curve_validation():
-    with pytest.raises(ValueError):
-        persistence_curve((20,), alpha=1.0, support_size=2, reps=1, cfg=FAST)
-    with pytest.raises(ValueError):
-        persistence_curve((5,), alpha=1.2, support_size=2, reps=1, cfg=FAST)
+def test_persistence_curve_validation(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew data before validating the arguments")
+
+    monkeypatch.setattr(experiments, "gen_sparse_linear", no_draws)
+    for ns, alpha, reps in (((20,), 1.0, 1), ((5,), 1.2, 1),
+                            ((1600, 5), 1.2, 1), ((20,), 1.2, 0)):
+        with pytest.raises(ValueError):
+            persistence_curve(ns, alpha=alpha, support_size=2, reps=reps,
+                              cfg=FAST)
 
 
 def test_ridge_demo_bookkeeping():
@@ -198,8 +236,9 @@ def test_ridge_demo_bookkeeping():
     assert all(b in (0.0, 1.0) for b in demo.selected_budgets)
     assert demo.ridge_risk_mean == pytest.approx(np.mean(demo.ridge_risks))
     assert demo.selected_risk_mean == pytest.approx(np.mean(demo.selected_risks))
-    with pytest.raises(ValueError):
-        ridge_vs_l1_demo(20, 10, 1.0, 0.25, (), reps=2, cfg=FAST)
+    for budgets, reps in (((), 2), ((0.0, 1.0), 0)):
+        with pytest.raises(ValueError):
+            ridge_vs_l1_demo(20, 10, 1.0, 0.25, budgets, reps=reps, cfg=FAST)
 
 
 def test_sup_deviation_against_itself_is_zero():

@@ -84,6 +84,10 @@ def test_coefficients_round_trip(tmp_path):
     assert record["l1"] == pytest.approx(3.75)
     assert record["params"] == {"lambda": 0.1}
     assert "report" not in record
+    for index in (0, 5):  # 1-based: 0 would silently wrap to the last entry
+        p.write_text(json.dumps({"m": 4, "nonzeros": [[index, 1.0]]}))
+        with pytest.raises(ValueError):
+            read_coefficients(p)
 
 
 def test_coefficients_embed_the_solver_report(tmp_path, hadamard):
