@@ -222,6 +222,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("need at least one lambda")
+    if any(lam < 0 for lam in lambdas):
+        raise ValueError("lambda must be nonnegative")
     if reps < 1 or test_n < 1:
         raise ValueError("reps and test_n must be positive")
     if threads < 1:
@@ -329,6 +331,10 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
     budgets = [float(b) for b in l1_budgets]
     if not budgets:
         raise ValueError("need at least one l1 budget")
+    if any(b < 0 for b in budgets):
+        raise ValueError("l1 budget must be nonnegative")
+    if delta < 0:
+        raise ValueError("l2 radius must be nonnegative")
     if reps < 1:
         raise ValueError("reps must be positive")
     zero = Coefficients.zeros(m)

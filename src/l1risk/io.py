@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,33 +48,38 @@ def _json_text(record) -> str:
 
 
 def write_dataset(d: Dataset, path) -> None:
-    """CSV with header y,x1,...,xm plus the meta sidecar (when meta exists)."""
-    header = ["y"] + [f"x{j}" for j in range(1, d.m + 1)]
-    lines = [",".join(header)]
-    for i in range(d.n):
-        cells = [repr(float(d.y[i]))]
-        cells += [repr(float(v)) for v in d.x[i]]
-        lines.append(",".join(cells))
+    """CSV with header y,x1,...,xm plus the meta sidecar; without meta, a
+    sidecar left at the path is removed so it cannot be read back."""
+    header = ",".join(["y"] + [f"x{j}" for j in range(1, d.m + 1)])
+    # repr of a Python float round-trips; convert row by row, since a
+    # whole-table tolist() would hold 32 bytes per value at once
+    lines = [header] + [",".join(map(repr, [y] + row.tolist()))
+                        for y, row in zip(d.y.tolist(), d.x)]
     atomic_write_text(path, "\n".join(lines) + "\n")
     if d.meta:
         atomic_write_text(meta_path(path), _json_text(d.meta))
+    else:
+        meta_path(path).unlink(missing_ok=True)
 
 
 def read_dataset(path) -> Dataset:
     """Read a dataset CSV; meta comes from the sidecar when present."""
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "y":
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0] != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
         expected = ["y"] + [f"x{j}" for j in range(1, len(header))]
         if header != expected:
             raise ValueError(f"{path}: malformed column header")
-        rows = [[float(c) for c in row] for row in reader if row]
-    if not rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty: raised below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: no observations")
-    data = np.array(rows)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[1]} values per row, "
+                         f"{len(header)} columns in the header")
     meta = None
     side = meta_path(path)
     if side.exists():

@@ -19,10 +19,6 @@ from l1risk.solvers import SolveConfig, _descend
 
 DEFAULT_BUDGET = 1_000_000
 
-# Smooth per-subset fits that drift past this l2 norm are reported as an
-# unbounded direction.
-NORM_CUTOFF = 1e3
-
 _SUBSET_CFG = SolveConfig(max_iter=2000, tol=1e-12)
 
 
@@ -52,23 +48,18 @@ def _embed(m: int, subset, values) -> Coefficients:
 
 def _fit_subset(d: Dataset, subset, loss: LossSpec):
     """Minimize empirical risk over coefficients supported on `subset`."""
-    xs = d.x[:, list(subset)] if subset else np.zeros((d.n, 0))
+    xs = d.x[:, list(subset)]
     if loss.kind == "squared":
-        if xs.shape[1] == 0:
-            values = np.zeros(0)
-        else:
-            values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
+        values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
         residual = d.y - xs @ values
         return values, float((residual * residual).mean()), False
     # smooth (sub)gradient descent on the restricted problem
-    run = _descend(
-        xs, d.y, loss, penalty=lambda b: 0.0, prox=lambda v, _eta: v,
-        cfg=_SUBSET_CFG, norm_cutoff=NORM_CUTOFF)
-    unbounded = run.hit_cutoff
-    if loss.kind == "exponential" and xs.shape[1]:
-        # strictly separated margins: scaling the fit up keeps lowering the
-        # risk, so the infimum is never attained
-        unbounded = unbounded or bool(np.all(d.y * (xs @ run.beta) > 0.0))
+    run = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
+                   prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
+    # strictly separated margins (never all-zero ones): scaling the fit up
+    # keeps lowering the exponential risk, so the infimum is never attained
+    unbounded = loss.kind == "exponential" and \
+        bool(np.all(d.y * (xs @ run.beta) > 0.0))
     return run.beta, run.objective, unbounded
 
 

@@ -6,6 +6,10 @@ at beta = 0. Every run returns a certificate (`SolveReport`): the penalized
 form reports the subgradient stationarity residual, the constrained forms the
 projected-gradient fixed-point residual at the final step length. A run is
 reported converged only when its residual is at most `CERTIFICATE_TOL`.
+
+The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
+`_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
+only the stopping rule.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from l1risk.risk import Coefficients, Dataset, LossSpec, empirical_gradient, \
 
 CERTIFICATE_TOL = 1e-5
 
+_STEP_INIT = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e18
 _MAX_BACKTRACKS = 60
@@ -26,25 +33,16 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Optimizer controls shared by all solvers."""
+    """Stopping rule shared by all solvers: iteration cap and objective-change tol."""
 
     max_iter: int = 10000
     tol: float = 1e-8
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
-        if self.armijo <= 0:
-            raise ValueError("armijo must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ def project_l2(v, delta: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Descent:
     """Where `_descend` stopped: the last accepted iterate, its gradient and
-    objective, the counts, the final step length and whether the iterate
-    crossed `norm_cutoff`."""
+    objective, the counts and the final step length."""
 
     beta: np.ndarray
     grad: np.ndarray
@@ -114,10 +111,9 @@ class _Descent:
     iterations: int
     rejections: int
     eta: float
-    hit_cutoff: bool
 
 
-def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
+def _descend(x, y, loss, penalty, prox, cfg, trace=None):
     """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta).
 
     `prox(v, eta)` must return the proximal/projection step for step length
@@ -131,10 +127,9 @@ def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
     grad = x.T @ d_margin / n
     if trace is not None:
         trace.append(obj)
-    eta = cfg.step_init
+    eta = _STEP_INIT
     rejections = 0
     iterations = 0
-    hit_cutoff = False
     prev_beta = None
     prev_grad = None
     for iterations in range(1, cfg.max_iter + 1):
@@ -143,7 +138,7 @@ def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
             dg = grad - prev_grad
             curv = float(db @ dg)
             # BB step where curvature is informative, otherwise grow the last step
-            eta = float(db @ db) / curv if curv > 0 else eta / cfg.backtrack
+            eta = float(db @ db) / curv if curv > 0 else eta / _BACKTRACK
             eta = min(max(eta, _STEP_MIN), _STEP_MAX)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -152,11 +147,11 @@ def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
             move_sq = float(move @ move)
             cand_values, cand_d_margin = loss_terms(loss, y, x @ cand)
             cand_obj = float(cand_values.mean()) + penalty(cand)
-            if np.isfinite(cand_obj) and cand_obj <= obj - cfg.armijo / eta * move_sq:
+            if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO / eta * move_sq:
                 accepted = True
                 break
             rejections += 1
-            eta *= cfg.backtrack
+            eta *= _BACKTRACK
             if eta < _STEP_MIN:
                 break
         if not accepted:
@@ -167,12 +162,9 @@ def _descend(x, y, loss, penalty, prox, cfg, norm_cutoff=None, trace=None):
         grad = x.T @ cand_d_margin / n
         if trace is not None:
             trace.append(obj)
-        if norm_cutoff is not None and float(np.sqrt(beta @ beta)) > norm_cutoff:
-            hit_cutoff = True
-            break
         if move_sq == 0.0 or rel_change < cfg.tol:
             break
-    return _Descent(beta, grad, obj, iterations, rejections, eta, hit_cutoff)
+    return _Descent(beta, grad, obj, iterations, rejections, eta)
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:

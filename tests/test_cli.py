@@ -232,13 +232,26 @@ def test_module_entry_point_runs():
     assert "simgen" in proc.stdout
 
 
+def _readme_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```")[1::2]
+
+
 def test_readme_commands_parse():
     """Every `l1risk ...` line in README's code blocks is a valid invocation."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = readme.split("```")[1::2]
+    blocks = _readme_blocks()
     commands = [line.strip() for block in blocks for line in block.splitlines()
                 if line.strip().startswith("l1risk ")]
     assert {shlex.split(c)[1] for c in commands} == set(COMMANDS)
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_python_quick_start_runs(capsys):
+    """README's Python quick start runs against the current public API."""
+    code = [block.split("\n", 1)[1] for block in _readme_blocks()
+            if block.startswith("python\n")]
+    assert len(code) == 1
+    exec(compile(code[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")

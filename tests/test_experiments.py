@@ -166,11 +166,19 @@ def test_lambda_sweep_shared_test_reuses_one_draw():
     assert shared[0].v_real != fresh[0].v_real
 
 
-def test_lambda_sweep_validation():
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew data before validating the arguments")
+
+
+def test_lambda_sweep_validation(monkeypatch):
+    monkeypatch.setattr(experiments, "generate", _no_draws)
+    monkeypatch.setattr(experiments, "gen_section4", _no_draws)
     with pytest.raises(ValueError):
         lambda_sweep(SMALL, [], reps=1, test_n=10, cfg=FAST)
     with pytest.raises(ValueError):
         lambda_sweep(SMALL, [0.1], reps=0, test_n=10, cfg=FAST)
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        lambda_sweep(SMALL, [0.1, -0.1], reps=2, test_n=10, cfg=FAST)
     for threads in (0, -1):
         with pytest.raises(ValueError):
             lambda_sweep(SMALL, [0.1], reps=1, test_n=10, cfg=FAST,
@@ -212,10 +220,7 @@ def test_persistence_curve_accepts_an_iterator_of_ns():
 
 
 def test_persistence_curve_validation(monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew data before validating the arguments")
-
-    monkeypatch.setattr(experiments, "gen_sparse_linear", no_draws)
+    monkeypatch.setattr(experiments, "gen_sparse_linear", _no_draws)
     for ns, alpha, reps in (((20,), 1.0, 1), ((5,), 1.2, 1),
                             ((1600, 5), 1.2, 1), ((20,), 1.2, 0)):
         with pytest.raises(ValueError):
@@ -223,7 +228,7 @@ def test_persistence_curve_validation(monkeypatch):
                               cfg=FAST)
 
 
-def test_ridge_demo_bookkeeping():
+def test_ridge_demo_bookkeeping(monkeypatch):
     demo = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2,
                             cfg=FAST, seed=4)
     again = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2,
@@ -236,9 +241,11 @@ def test_ridge_demo_bookkeeping():
     assert all(b in (0.0, 1.0) for b in demo.selected_budgets)
     assert demo.ridge_risk_mean == pytest.approx(np.mean(demo.ridge_risks))
     assert demo.selected_risk_mean == pytest.approx(np.mean(demo.selected_risks))
-    for budgets, reps in (((), 2), ((0.0, 1.0), 0)):
+    monkeypatch.setattr(experiments, "gen_null", _no_draws)
+    for budgets, reps, delta in (((), 2, 0.25), ((0.0, 1.0), 0, 0.25),
+                                 ((1.0, -1.0), 2, 0.25), ((1.0,), 2, -0.25)):
         with pytest.raises(ValueError):
-            ridge_vs_l1_demo(20, 10, 1.0, 0.25, budgets, reps=reps, cfg=FAST)
+            ridge_vs_l1_demo(20, 10, 1.0, delta, budgets, reps=reps, cfg=FAST)
 
 
 def test_sup_deviation_against_itself_is_zero():

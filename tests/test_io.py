@@ -1,6 +1,7 @@
 """File formats: round trips, exact headers, atomicity."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from l1risk.io import (
     write_sweep,
 )
 from l1risk.oracle import best_subset
-from l1risk.risk import SQUARED, Coefficients
+from l1risk.risk import SQUARED, Coefficients, Dataset
 from l1risk.simgen import gen_section4, gen_sparse_linear, ScenarioSpec
 from l1risk.solvers import SolveConfig, solve_penalized
 
@@ -47,7 +48,6 @@ def test_dataset_round_trip(tmp_path):
 
 def test_dataset_full_float_precision(tmp_path):
     # repr round-trips doubles exactly, including awkward ones
-    from l1risk.risk import Dataset
     x = np.array([[0.1 + 0.2, 1e-17], [np.pi, -2.0 / 3.0]])
     d = Dataset(x, np.array([1.0 / 3.0, 0.30000000000000004]))
     p = tmp_path / "tiny.csv"
@@ -55,6 +55,20 @@ def test_dataset_full_float_precision(tmp_path):
     back = read_dataset(p)
     np.testing.assert_array_equal(back.x, x)
     np.testing.assert_array_equal(back.y, d.y)
+
+
+def test_rewriting_a_dataset_without_meta_drops_the_old_sidecar(tmp_path):
+    beta_star = Coefficients(np.array([1.0, -0.5, 0.0, 0.0]))
+    spec = ScenarioSpec("sparse_linear", 20,
+                        {"beta_star": beta_star, "sigma": 0.5})
+    p = tmp_path / "d.csv"
+    write_dataset(gen_sparse_linear(spec, seed=1), p)
+    assert meta_path(p).exists()
+    write_dataset(Dataset(np.ones((3, 2)), np.zeros(3)), p)
+    assert not meta_path(p).exists()
+    back = read_dataset(p)
+    assert back.x.shape == (3, 2)
+    assert not back.meta  # not the first dataset's beta_star
 
 
 def test_read_dataset_rejects_bad_input(tmp_path):
@@ -66,8 +80,14 @@ def test_read_dataset_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         read_dataset(p)
     p.write_text("y,x1\n")
-    with pytest.raises(ValueError, match="no observations"):
-        read_dataset(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no parser warning leaks out
+        with pytest.raises(ValueError, match="no observations"):
+            read_dataset(p)
+    for body in ("y,x1\n1.0,2.0,3.0\n", "y,x1\n1.0\n", "y,x1\n1.0,abc\n"):
+        p.write_text(body)
+        with pytest.raises(ValueError):
+            read_dataset(p)
     with pytest.raises(OSError):
         read_dataset(tmp_path / "absent.csv")
 

@@ -7,7 +7,7 @@ import pytest
 
 from l1risk.oracle import BudgetExceededError, best_subset, grid_best
 from l1risk.risk import EXPONENTIAL, SQUARED, Dataset, empirical_risk
-from l1risk.simgen import gen_null
+from l1risk.simgen import gen_null, gen_section4
 
 
 def test_best_subset_recovers_an_exact_single_column_fit():
@@ -57,11 +57,27 @@ def test_best_subset_budget_and_k_validation():
 
 def test_separable_exponential_fit_is_flagged_unbounded():
     # perfectly separable margins: the exponential risk decays to zero and
-    # the per-subset fit runs off along a fixed direction
-    d = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
-    sol = best_subset(d, 1, EXPONENTIAL)
-    assert sol.unbounded
-    assert sol.risk < 1e-3
+    # the per-subset fit runs off along a fixed direction, however small the
+    # column (a small column needs a large coefficient, not an early stop)
+    for scale in (1.0, 0.01, 0.001):
+        d = Dataset(np.array([[scale], [-scale]]), np.array([1.0, -1.0]))
+        sol = best_subset(d, 1, EXPONENTIAL)
+        assert sol.unbounded
+        assert sol.risk < 1e-3, scale
+
+
+def test_exponential_best_subset_is_no_worse_than_the_grid():
+    # overlapping classes: the minimizer exists, and the descent must reach
+    # at least the risk of the best center of a fine coefficient grid
+    for seed in range(3):
+        g = gen_section4(60, 25, seed)
+        d = Dataset(g.x[:, :4], g.y)
+        sol = best_subset(d, 2, EXPONENTIAL)
+        grid = grid_best(d, 2, 2.0, 0.05, EXPONENTIAL)
+        assert not sol.unbounded
+        assert sol.risk <= grid.risk, seed
+        assert sol.risk == pytest.approx(
+            empirical_risk(d, sol.beta, EXPONENTIAL))
 
 
 def test_grid_best_hits_an_interior_cell_center():

@@ -1,5 +1,7 @@
 """Penalized and ball-constrained solvers and their certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,10 +82,11 @@ def test_project_l2():
 
 
 def test_solve_config_validation():
-    for kwargs in ({"max_iter": 0}, {"tol": 0.0}, {"backtrack": 1.0},
-                   {"step_init": 0.0}, {"armijo": 0.0}):
+    for kwargs in ({"max_iter": 0}, {"tol": 0.0}):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+    # the step rule is fixed; the config carries only the stopping rule
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == ["max_iter", "tol"]
 
 
 def test_negative_parameters_rejected(hadamard):
