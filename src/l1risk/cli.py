@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from l1risk.experiments import (
-    DEFAULT_SWEEP_CONFIG,
     lambda_sweep,
     persistence_curve,
     ridge_vs_l1_demo,
@@ -103,14 +102,20 @@ def _progress(label: str):
 
 
 def _solve_config(args) -> SolveConfig:
-    return SolveConfig(max_iter=args.max_iter, tol=args.tol)
+    try:
+        return SolveConfig(max_iter=args.max_iter, tol=args.tol)
+    except ValueError as e:
+        raise ArgError(str(e)) from None
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iter", type=int, default=DEFAULT_SWEEP_CONFIG.max_iter,
+    default = SolveConfig()
+    p.add_argument("--max-iter", type=int, default=default.max_iter,
                    help="iteration cap")
-    p.add_argument("--tol", type=float, default=DEFAULT_SWEEP_CONFIG.tol,
-                   help="relative objective-change stopping threshold")
+    p.add_argument("--tol", type=float, default=default.tol,
+                   help="stall threshold on the relative objective change; "
+                        "solves stop earlier, at their first certified "
+                        "iterate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,9 +262,9 @@ def cmd_simgen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    cfg = _solve_config(args)
     d = read_dataset(args.data)
     loss = LOSS_BY_FLAG[args.loss]
-    cfg = _solve_config(args)
     if args.penalty == "l1":
         if args.lam is None:
             raise ArgError("penalty l1 requires --lambda")
@@ -274,7 +279,8 @@ def cmd_solve(args) -> int:
         pen = {"penalty": args.penalty, "budget": args.budget}
     write_coefficients(args.out, beta, report,
                        {"loss": args.loss, **pen, "data": args.data})
-    state = "converged" if report.converged else "not converged"
+    state = "converged" if report.converged \
+        else f"not converged ({report.reason})"
     print(f"wrote {args.out}: support {beta.support}, "
           f"objective {report.objective:.6g}, "
           f"kkt {report.kkt_residual:.3g}, {state} "

@@ -121,6 +121,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
             "objective": float(report.objective),
             "kkt_residual": float(report.kkt_residual),
             "converged": bool(report.converged),
+            "reason": report.reason,
             "step_rejections": report.step_rejections,
         }
     if params is not None:

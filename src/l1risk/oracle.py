@@ -53,14 +53,16 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
         values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
         residual = d.y - xs @ values
         return values, float((residual * residual).mean()), False
-    # smooth (sub)gradient descent on the restricted problem
-    run = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
-                   prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
+    # smooth (sub)gradient descent on the restricted problem; with no
+    # certificate it runs to the stall threshold, so a separable subset
+    # reaches the exponential infimum
+    beta, report = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
+                            prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
     # strictly separated margins (never all-zero ones): scaling the fit up
     # keeps lowering the exponential risk, so the infimum is never attained
     unbounded = loss.kind == "exponential" and \
-        bool(np.all(d.y * (xs @ run.beta) > 0.0))
-    return run.beta, run.objective, unbounded
+        bool(np.all(d.y * (xs @ beta) > 0.0))
+    return beta, report.objective, unbounded
 
 
 def best_subset(d: Dataset, k: int, loss: LossSpec,

@@ -4,8 +4,20 @@ All three solvers run the same monotone proximal/projected gradient loop:
 a Barzilai-Borwein step proposal safeguarded by Armijo backtracking, started
 at beta = 0. Every run returns a certificate (`SolveReport`): the penalized
 form reports the subgradient stationarity residual, the constrained forms the
-projected-gradient fixed-point residual at the final step length. A run is
-reported converged only when its residual is at most `CERTIFICATE_TOL`.
+projected-gradient fixed-point residual at the accepted step length.
+
+Stopping rule: the residual is checked at beta = 0 and after every accepted
+step, from the gradient just computed for the next step, and the run stops
+at the first iterate whose residual is at most `CERTIFICATE_TOL`. Only runs
+that never get there stop otherwise: on a relative objective change below
+`SolveConfig.tol` (a stall), on a step that does not move, on a line search
+that finds no acceptable step, or at `SolveConfig.max_iter`.
+`SolveReport.reason` names the rule that fired; a run is converged exactly
+when it is "certified".
+
+Line-search trials on a sparse candidate compute the margins from its
+support columns only (`_margins`); the gradient, and with it every
+certificate, always uses the full design.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
@@ -23,6 +35,13 @@ from l1risk.risk import Coefficients, Dataset, LossSpec, empirical_gradient, \
 
 CERTIFICATE_TOL = 1e-5
 
+# Trial margins use only the candidate's support columns when the support
+# covers less than this share of them. Gathering columns costs more per
+# column than the full product streams: on 500x1005, 200x2000, 400x1318 and
+# 1600x6998 designs (2 cores, OpenBLAS 0.3.31) the gather stops paying at
+# ~12% of the columns with one BLAS thread and at ~6% with two.
+_SUPPORT_FRACTION = 0.05
+
 _STEP_INIT = 1.0
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
@@ -33,10 +52,12 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping rule shared by all solvers: iteration cap and objective-change tol."""
+    """Fallback stopping rule shared by all solvers: an iteration cap and a
+    stall threshold on the relative objective change. A run stops earlier,
+    at its first certified iterate."""
 
     max_iter: int = 10000
-    tol: float = 1e-8
+    tol: float = 1e-13
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -47,13 +68,21 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Convergence certificate for one solver run."""
+    """Convergence certificate for one solver run.
+
+    `reason` is why the run stopped: "certified", "stalled", "max_iter",
+    "line_search_exhausted" or "zero_step" (see the module docstring).
+    """
 
     iterations: int
     objective: float
     kkt_residual: float
-    converged: bool
     step_rejections: int
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "certified"
 
 
 def soft_threshold(x, t):
@@ -100,25 +129,23 @@ def project_l2(v, delta: float) -> np.ndarray:
     return v * (delta / norm)
 
 
-@dataclass(frozen=True)
-class _Descent:
-    """Where `_descend` stopped: the last accepted iterate, its gradient and
-    objective, the counts and the final step length."""
-
-    beta: np.ndarray
-    grad: np.ndarray
-    objective: float
-    iterations: int
-    rejections: int
-    eta: float
+def _margins(x, beta: np.ndarray) -> np.ndarray:
+    """x @ beta, from the support columns alone when beta is sparse enough."""
+    support = np.flatnonzero(beta)
+    if support.size < _SUPPORT_FRACTION * beta.size:
+        return x[:, support] @ beta[support]
+    return x @ beta
 
 
-def _descend(x, y, loss, penalty, prox, cfg, trace=None):
+def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
     """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta).
 
     `prox(v, eta)` must return the proximal/projection step for step length
-    eta. Candidate steps with nonfinite objective are rejected by the line
-    search, so exponential-loss overflow only shortens the step.
+    eta, and `residual(beta, grad, eta)`, if given, the certificate at beta;
+    the run stops at the first iterate it certifies. Without one only the
+    fallback rules apply and the report's residual is inf. Candidate steps
+    with nonfinite objective are rejected by the line search, so
+    exponential-loss overflow only shortens the step.
     """
     n, m = x.shape
     beta = np.zeros(m)
@@ -132,7 +159,10 @@ def _descend(x, y, loss, penalty, prox, cfg, trace=None):
     iterations = 0
     prev_beta = None
     prev_grad = None
-    for iterations in range(1, cfg.max_iter + 1):
+    res = np.inf if residual is None else residual(beta, grad, eta)
+    reason = "certified" if res <= CERTIFICATE_TOL else None
+    while reason is None and iterations < cfg.max_iter:
+        iterations += 1
         if prev_beta is not None:
             db = beta - prev_beta
             dg = grad - prev_grad
@@ -145,7 +175,7 @@ def _descend(x, y, loss, penalty, prox, cfg, trace=None):
             cand = prox(beta - eta * grad, eta)
             move = cand - beta
             move_sq = float(move @ move)
-            cand_values, cand_d_margin = loss_terms(loss, y, x @ cand)
+            cand_values, cand_d_margin = loss_terms(loss, y, _margins(x, cand))
             cand_obj = float(cand_values.mean()) + penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO / eta * move_sq:
                 accepted = True
@@ -155,6 +185,7 @@ def _descend(x, y, loss, penalty, prox, cfg, trace=None):
             if eta < _STEP_MIN:
                 break
         if not accepted:
+            reason = "line_search_exhausted"
             break
         rel_change = abs(obj - cand_obj) / max(1.0, abs(obj))
         prev_beta, prev_grad = beta, grad
@@ -162,9 +193,16 @@ def _descend(x, y, loss, penalty, prox, cfg, trace=None):
         grad = x.T @ cand_d_margin / n
         if trace is not None:
             trace.append(obj)
-        if move_sq == 0.0 or rel_change < cfg.tol:
-            break
-    return _Descent(beta, grad, obj, iterations, rejections, eta)
+        if residual is not None:
+            res = residual(beta, grad, eta)
+        if res <= CERTIFICATE_TOL:
+            reason = "certified"
+        elif move_sq == 0.0:
+            reason = "zero_step"
+        elif rel_change < cfg.tol:
+            reason = "stalled"
+    return beta, SolveReport(iterations, obj, float(res), rejections,
+                             reason or "max_iter")
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
@@ -194,26 +232,26 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    run = _descend(
+    beta, report = _descend(
         d.x, d.y, loss,
         penalty=lambda b: lam * float(np.abs(b).sum()),
         prox=lambda v, eta: soft_threshold(v, eta * lam),
-        cfg=cfg, trace=trace)
-    residual = _stationarity_residual(run.grad, lam, run.beta)
-    report = SolveReport(run.iterations, run.objective, residual,
-                         residual <= CERTIFICATE_TOL, run.rejections)
-    return Coefficients(run.beta), report
+        cfg=cfg,
+        residual=lambda b, g, _eta: _stationarity_residual(g, lam, b),
+        trace=trace)
+    return Coefficients(beta), report
 
 
 def _solve_projected(d, loss, project, cfg, trace):
-    run = _descend(
+    def fixed_point_residual(beta, grad, eta):
+        step = beta - project(beta - eta * grad)
+        return float(np.sqrt(step @ step)) / eta
+
+    beta, report = _descend(
         d.x, d.y, loss, penalty=lambda b: 0.0,
-        prox=lambda v, _eta: project(v), cfg=cfg, trace=trace)
-    fixed_point = run.beta - project(run.beta - run.eta * run.grad)
-    residual = float(np.sqrt(fixed_point @ fixed_point)) / run.eta
-    report = SolveReport(run.iterations, run.objective, residual,
-                         residual <= CERTIFICATE_TOL, run.rejections)
-    return Coefficients(run.beta), report
+        prox=lambda v, _eta: project(v), cfg=cfg,
+        residual=fixed_point_residual, trace=trace)
+    return Coefficients(beta), report
 
 
 def solve_constrained(d: Dataset, loss: LossSpec, b: float,

@@ -89,6 +89,7 @@ def test_solve_reports_a_certificate(linear_csv, tmp_path, capsys):
                  "--tol", "1e-13", "--out", str(out)]) == 0
     beta, record = read_coefficients(out)
     assert record["report"]["converged"] is True
+    assert record["report"]["reason"] == "certified"
     assert record["report"]["kkt_residual"] <= 1e-5
     assert record["params"]["penalty"] == "l1"
     assert beta.support >= 2
@@ -120,7 +121,12 @@ def test_solve_flag_and_file_errors(linear_csv, tmp_path, capsys):
                  "--lambda", "0.1", "--out", out]) == 1
     assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
                  "--frob", "--out", out]) == 2
-    capsys.readouterr()
+    # solver settings SolveConfig rejects are flag errors too
+    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "0"]):
+        assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
+                     *flags, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_sweep_cli_round_trip(tmp_path, capsys):
@@ -136,6 +142,11 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     assert [r.lam for r in rows] == [0.05, 0.1]
     assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1:0:0.2",
                  "--seed", "5", "--out", str(tmp_path / "s3.csv")]) == 2
+    for flags in (["--max-iter", "0"], ["--tol", "-1"]):
+        assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1",
+                     "--reps", "1", *flags, "--seed", "5",
+                     "--out", str(tmp_path / "s4.csv")]) == 2
+    assert not (tmp_path / "s4.csv").exists()
     capsys.readouterr()
 
 

@@ -18,8 +18,10 @@ from l1risk.risk import (
 )
 from l1risk.simgen import gen_null
 from l1risk.solvers import (
+    _SUPPORT_FRACTION,
     CERTIFICATE_TOL,
     SolveConfig,
+    _margins,
     kkt_residual,
     project_l1,
     project_l2,
@@ -249,3 +251,73 @@ def test_constrained_solutions_stay_feasible(seed, budget):
     assert beta.l1_norm <= budget + 1e-9
     rbeta, _ = solve_ridge_constrained(d, SQUARED, budget, cfg)
     assert rbeta.l2_norm <= budget + 1e-9
+
+
+STOP_REASONS = {"certified", "stalled", "max_iter", "line_search_exhausted",
+                "zero_step"}
+
+
+@pytest.mark.parametrize("solve, arg", [(solve_penalized, 0.05),
+                                        (solve_constrained, 2.0),
+                                        (solve_ridge_constrained, 1.0)])
+@pytest.mark.parametrize("loss", [SQUARED, EXPONENTIAL])
+def test_solvers_stop_at_the_first_certified_iterate(solve, arg, loss):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((60, 20))
+    y = np.where(x[:, 0] + rng.standard_normal(60) > 0, 1.0, -1.0)
+    d = Dataset(x, y)
+    _, report = solve(d, loss, arg)
+    assert report.reason == "certified" and report.converged
+    assert report.kkt_residual <= CERTIFICATE_TOL
+    assert report.iterations >= 2
+    _, cut = solve(d, loss, arg, SolveConfig(max_iter=report.iterations - 1))
+    assert cut.reason == "max_iter"
+    assert not cut.converged
+    assert cut.kkt_residual > CERTIFICATE_TOL
+
+
+def test_an_optimal_origin_costs_no_iterations(hadamard):
+    for solve, arg in ((solve_penalized, 6.0), (solve_constrained, 0.0),
+                       (solve_ridge_constrained, 0.0)):
+        beta, report = solve(hadamard, SQUARED, arg)
+        assert report.iterations == 0 and report.step_rejections == 0
+        assert report.reason == "certified" and report.converged
+        assert beta.l1_norm == 0.0
+
+
+def test_stop_reasons_agree_with_converged(hadamard):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((40, 12))
+    d = Dataset(x, np.where(x[:, 0] > 0, 1.0, -1.0))
+    runs = [solve_penalized(d, ABSOLUTE, 0.05),   # nonsmooth: never certifies
+            solve_penalized(d, EXPONENTIAL, 0.01, SolveConfig(max_iter=2)),
+            solve_penalized(d, SQUARED, 0.01, SolveConfig(tol=1e-2)),
+            solve_penalized(hadamard, SQUARED, 1.0)]
+    reasons = [report.reason for _, report in runs]
+    assert reasons == ["stalled", "max_iter", "stalled", "certified"]
+    for _, report in runs:
+        assert report.reason in STOP_REASONS
+        assert report.converged == (report.reason == "certified")
+
+
+def _support_sizes(m):
+    """Empty, one column, both sides of the restricted-product threshold, and
+    dense supports for m columns."""
+    edge = int(np.ceil(_SUPPORT_FRACTION * m))
+    return sorted({0, 1, max(edge - 1, 0), min(edge, m), min(edge + 1, m), m})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40))
+def test_margins_match_the_full_product(seed, m, n):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m))
+    for size in _support_sizes(m):
+        beta = np.zeros(m)
+        support = rng.choice(m, size, replace=False)
+        beta[support] = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+        got = _margins(x, beta)
+        want = x @ beta
+        assert got.shape == want.shape == (n,)
+        bound = 1e-12 * (np.abs(x) @ np.abs(beta))
+        assert np.all(np.abs(got - want) <= bound)
