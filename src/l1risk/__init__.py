@@ -18,7 +18,6 @@ from l1risk.risk import (
     empirical_gradient,
     empirical_risk,
     group_l1,
-    loss_eval,
     predict_margin,
 )
 from l1risk.solvers import (
@@ -46,8 +45,8 @@ from l1risk.simgen import (
     gen_section4,
     gen_sparse_linear,
     generate,
+    population_risk,
     sparse_unit_vector,
-    true_risk_gaussian,
 )
 from l1risk.experiments import (
     DEFAULT_SWEEP_CONFIG,
@@ -57,7 +56,6 @@ from l1risk.experiments import (
     lambda_sweep,
     persistence_curve,
     ridge_vs_l1_demo,
-    self_consistency_gap,
     sup_deviation,
 )
 
@@ -93,13 +91,12 @@ __all__ = [
     "group_l1",
     "kkt_residual",
     "lambda_sweep",
-    "loss_eval",
     "persistence_curve",
+    "population_risk",
     "predict_margin",
     "project_l1",
     "project_l2",
     "ridge_vs_l1_demo",
-    "self_consistency_gap",
     "soft_threshold",
     "solve_constrained",
     "solve_penalized",
@@ -107,5 +104,4 @@ __all__ = [
     "sparse_unit_vector",
     "sparsify",
     "sup_deviation",
-    "true_risk_gaussian",
 ]

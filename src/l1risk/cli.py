@@ -7,6 +7,7 @@ non-convergence is reported in the output, not treated as an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,6 @@ from l1risk.experiments import (
     sup_deviation,
 )
 from l1risk.io import (
-    _coefficients_1based,
     atomic_write_text,
     meta_path,
     read_coefficients,
@@ -34,15 +34,14 @@ from l1risk.io import (
 )
 from l1risk.maurey import sparsify
 from l1risk.oracle import DEFAULT_BUDGET, best_subset, grid_best
-from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, Coefficients
+from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED
 from l1risk.simgen import (
     ScenarioSpec,
     VARIANCE_CONVENTIONS,
-    gen_null,
-    gen_section4,
-    gen_sparse_linear,
+    generate,
+    population_risk,
+    scenario_of,
     sparse_unit_vector,
-    true_risk_gaussian,
 )
 from l1risk.solvers import (
     SolveConfig,
@@ -243,19 +242,16 @@ def cmd_simgen(args) -> int:
     if args.scenario == "section4":
         if args.big_m is None:
             raise ArgError("section4 requires --big-m")
-        d = gen_section4(args.n, args.big_m, args.seed,
-                         args.variance_convention)
-    elif args.scenario == "sparse-linear":
-        if args.m is None:
-            raise ArgError("sparse-linear requires --m")
-        spec = ScenarioSpec("sparse_linear", args.n, {
-            "m": args.m, "beta_star": sparse_unit_vector(args.m, args.k),
-            "sigma": args.sigma})
-        d = gen_sparse_linear(spec, args.seed)
+        params = {"big_m": args.big_m,
+                  "variance_convention": args.variance_convention}
     else:
         if args.m is None:
-            raise ArgError("null requires --m")
-        d = gen_null(args.n, args.m, args.sigma, args.seed)
+            raise ArgError(f"{args.scenario} requires --m")
+        params = {"m": args.m, "sigma": args.sigma}
+        if args.scenario == "sparse-linear":
+            params["beta_star"] = sparse_unit_vector(args.m, args.k)
+    spec = ScenarioSpec(args.scenario.replace("-", "_"), args.n, params)
+    d = generate(spec, args.seed)
     write_dataset(d, args.out)
     print(f"wrote {args.out} (n={d.n}, m={d.m}) and {meta_path(args.out)}")
     return 0
@@ -300,8 +296,7 @@ def cmd_sweep(args) -> int:
                         share_test=args.share_test, threads=args.threads,
                         progress=_progress("cell"))
     write_sweep(args.out, rows, {
-        "scenario": "section4", "n": args.n, "big_m": args.big_m,
-        "variance_convention": args.variance_convention,
+        "scenario": scenario.kind, "n": scenario.n, **scenario.params,
         "lambdas": lambdas, "reps": args.reps, "test_n": args.test_n,
         "share_test": args.share_test})
     unconv = sum(r.n_unconverged for r in rows)
@@ -373,17 +368,11 @@ def cmd_deviation(args) -> int:
         if args.loss != "squared":
             raise ArgError("closed-form reference needs --loss squared; "
                            "pass --oracle-data otherwise")
-        meta = d.meta or {}
-        params = meta.get("params", {})
-        if meta.get("scenario") == "sparse_linear":
-            beta_star = _coefficients_1based(d.m, params["beta_star"])
-        elif meta.get("scenario") == "null":
-            beta_star = Coefficients.zeros(d.m)
-        else:
+        spec = scenario_of(d)
+        if spec is None or spec.kind == "section4":
             raise ArgError("no closed form for this dataset; pass --oracle-data")
-        sigma = float(params["sigma"])
-        reference = lambda b: true_risk_gaussian(b, beta_star, sigma)
-        ref_kind = {"closed_form": True, "sigma": sigma}
+        reference = functools.partial(population_risk, spec)
+        ref_kind = {"closed_form": True, "sigma": spec.params["sigma"]}
     value = sup_deviation(d, args.probes, args.k, args.radius, loss,
                           reference, args.seed)
     if args.out:

@@ -15,7 +15,7 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from l1risk.risk import (
     empirical_risk,
     group_l1,
 )
-from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, \
-    gen_sparse_linear, generate, sparse_unit_vector, true_risk_gaussian
+from l1risk.simgen import ScenarioSpec, generate, population_risk, \
+    sparse_unit_vector
 from l1risk.solvers import SolveConfig, solve_constrained, solve_penalized, \
     solve_ridge_constrained
 
@@ -227,16 +227,14 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         raise ValueError("reps and test_n must be positive")
     if threads < 1:
         raise ValueError("threads must be positive")
-    big_m = int(scenario.params["big_m"])
-    convention = scenario.params.get("variance_convention", "var")
-    shared = gen_section4(test_n, big_m, [seed, 0, 0, 1], convention) \
-        if share_test else None
+    test_spec = replace(scenario, n=test_n)
+    shared = generate(test_spec, [seed, 0, 0, 1]) if share_test else None
 
     def sweep_cell(cell):
         li, rep = cell
         train = generate(scenario, [seed, li, rep, 0])
-        test = shared if shared is not None else gen_section4(
-            test_n, big_m, [seed, li, rep, 1], convention)
+        test = shared if shared is not None else generate(
+            test_spec, [seed, li, rep, 1])
         beta, report = solve_penalized(train, loss, lambdas[li], cfg)
         rel = train.meta["relevant_range"]  # inclusive 1-based ranges
         prox = train.meta["proxy_range"]
@@ -289,26 +287,24 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     if any(n < 10 for n in ns):
         raise ValueError("each n must be at least 10")
     budget = math.sqrt(support_size)
-    targets = []  # (scenario, beta*, population risk of beta*) per n
+    specs = []
     for n in ns:
         m = math.ceil(n ** alpha)
-        beta_star = sparse_unit_vector(m, support_size)
-        spec = ScenarioSpec("sparse_linear", n,
-                            {"m": m, "beta_star": beta_star, "sigma": sigma})
-        targets.append((spec, beta_star,
-                        true_risk_gaussian(beta_star, beta_star, sigma)))
+        specs.append(ScenarioSpec("sparse_linear", n, {
+            "m": m, "beta_star": sparse_unit_vector(m, support_size),
+            "sigma": sigma}))
 
     def persistence_cell(cell):
         ni, rep = cell
-        spec, beta_star, base = targets[ni]
-        train = gen_sparse_linear(spec, [seed, ni, rep])
+        train = generate(specs[ni], [seed, ni, rep])
         beta, _ = solve_constrained(train, SQUARED, budget, cfg)
-        return true_risk_gaussian(beta, beta_star, sigma) - base
+        # the population risk of beta* itself is sigma^2
+        return population_risk(specs[ni], beta) - float(sigma) ** 2
 
     cells = [(ni, rep) for ni in range(len(ns)) for rep in range(reps)]
     excesses = _run_cells(cells, persistence_cell, progress=progress)
     points = []
-    for ni, (spec, _, _) in enumerate(targets):
+    for ni, spec in enumerate(specs):
         block = excesses[ni * reps:(ni + 1) * reps]
         points.append(PersistencePoint(n=int(spec.n), m=spec.params["m"],
                                        excess_risk=float(np.median(block)),
@@ -336,18 +332,18 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
         raise ValueError("l2 radius must be nonnegative")
     if reps < 1:
         raise ValueError("reps must be positive")
-    zero = Coefficients.zeros(m)
+    spec = ScenarioSpec("null", n, {"m": m, "sigma": sigma})
 
     def ridge_cell(rep):
-        train = gen_null(n, m, sigma, [seed, rep, 0])
-        held = gen_null(n, m, sigma, [seed, rep, 1])
+        train = generate(spec, [seed, rep, 0])
+        held = generate(spec, [seed, rep, 1])
         rbeta, _ = solve_ridge_constrained(train, SQUARED, delta, cfg)
         pops, held_risks = [], []
         for b in budgets:
             lbeta, _ = solve_constrained(train, SQUARED, b, cfg)
-            pops.append(true_risk_gaussian(lbeta, zero, sigma))
+            pops.append(population_risk(spec, lbeta))
             held_risks.append(empirical_risk(held, lbeta, SQUARED))
-        return (true_risk_gaussian(rbeta, zero, sigma),
+        return (population_risk(spec, rbeta),
                 rbeta.l2_norm / delta, pops, held_risks)
 
     results = _run_cells(range(reps), ridge_cell, progress=progress)
@@ -396,11 +392,3 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
         worst = max(worst, gap)
     return worst
 
-
-def self_consistency_gap(train: Dataset, test: Dataset, beta: Coefficients,
-                         loss: LossSpec) -> float:
-    """|training risk - held-out risk| of a fixed coefficient vector."""
-    if train.m != test.m:
-        raise ValueError(f"dimension mismatch: {train.m} vs {test.m}")
-    return abs(empirical_risk(train, beta, loss)
-               - empirical_risk(test, beta, loss))

@@ -87,20 +87,6 @@ def read_dataset(path) -> Dataset:
     return Dataset(data[:, 1:], data[:, 0], meta)
 
 
-def _nonzeros_1based(values: np.ndarray) -> list:
-    return [[int(j) + 1, float(v)] for j, v in enumerate(values) if v != 0.0]
-
-
-def _coefficients_1based(m: int, nonzeros) -> Coefficients:
-    """Length-m coefficients from 1-based [index, value] pairs."""
-    values = np.zeros(m)
-    for idx, v in nonzeros:
-        if not 1 <= int(idx) <= m:
-            raise ValueError(f"coefficient index {idx} outside 1..{m}")
-        values[int(idx) - 1] = float(v)
-    return Coefficients(values)
-
-
 def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
                        params: dict = None) -> None:
     """Coefficient JSON: m, 1-based ascending nonzeros, norms, support size.
@@ -110,7 +96,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
     """
     record = {
         "m": beta.m,
-        "nonzeros": _nonzeros_1based(beta.values),
+        "nonzeros": beta.nonzeros_1based(),
         "l1": float(beta.l1_norm),
         "l2": float(beta.l2_norm),
         "support": beta.support,
@@ -132,7 +118,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
 def read_coefficients(path) -> tuple[Coefficients, dict]:
     """Read coefficient JSON back; returns (coefficients, full record)."""
     record = json.loads(Path(path).read_text())
-    return _coefficients_1based(int(record["m"]), record["nonzeros"]), record
+    return Coefficients.from_1based(int(record["m"]), record["nonzeros"]), record
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -225,7 +211,7 @@ def write_subset_solution(path, sol: SubsetSolution, params: dict = None) -> Non
     """Subset-search JSON: 1-based subset, nonzero coefficients, risk."""
     record = {
         "subset": [int(j) + 1 for j in sol.subset],
-        "beta": _nonzeros_1based(sol.beta.values),
+        "beta": sol.beta.nonzeros_1based(),
         "risk": float(sol.risk),
         "unbounded": bool(sol.unbounded),
     }

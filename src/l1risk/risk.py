@@ -93,6 +93,22 @@ class Coefficients:
     def zeros(cls, m: int) -> "Coefficients":
         return cls(np.zeros(int(m)))
 
+    @classmethod
+    def from_1based(cls, m: int, pairs) -> "Coefficients":
+        """Length-m coefficients from 1-based [index, value] pairs (the file
+        formats' encoding); indices outside 1..m are rejected."""
+        values = np.zeros(int(m))
+        for idx, v in pairs:
+            if not 1 <= int(idx) <= m:
+                raise ValueError(f"coefficient index {idx} outside 1..{m}")
+            values[int(idx) - 1] = float(v)
+        return cls(values)
+
+    def nonzeros_1based(self) -> list:
+        """The nonzero entries as ascending 1-based [index, value] pairs."""
+        return [[int(j) + 1, float(v)] for j, v in enumerate(self.values)
+                if v != 0.0]
+
     @property
     def m(self) -> int:
         return self.values.shape[0]
@@ -134,14 +150,6 @@ def loss_terms(loss: LossSpec, y, margins):
         return v, -y * v
     r = y - s
     return np.abs(r), -np.sign(r)
-
-
-def loss_eval(loss: LossSpec, y: float, margin: float) -> tuple[float, float]:
-    """Pointwise loss value and margin derivative; raises on overflow."""
-    value, d_margin = loss_terms(loss, y, margin)
-    if not np.isfinite(value):
-        raise NonfiniteLossError(f"{loss.kind} loss overflowed at y={y}, margin={margin}")
-    return float(value), float(d_margin)
 
 
 def empirical_risk(d: Dataset, beta: Coefficients, loss: LossSpec) -> float:

@@ -9,6 +9,12 @@ sparse_linear Gaussian regression y = beta_star . x + noise with i.i.d.
               standard-normal design.
 null          y independent of the design (beta_star = 0).
 
+A `ScenarioSpec` describes a scenario once. `generate(spec, seed)` is the one
+draw path (`gen_section4`, `gen_sparse_linear` and `gen_null` build a spec and
+call it), `population_risk(spec, beta)` the one exact risk (sparse_linear and
+null), and `scenario_of(d)` rebuilds the spec from the meta a draw records, so
+a dataset's sidecar is enough to redraw it.
+
 Determinism contract: a generator is a pure function of (parameters, seed).
 Seeds feed numpy's PCG64 via ``np.random.default_rng(seed)``; derived streams
 use list seeds ``[base, index, ...]``. The per-dataset draw order is fixed and
@@ -28,19 +34,21 @@ import numpy as np
 
 from l1risk.risk import Coefficients, Dataset
 
+SCENARIO_KINDS = ("section4", "sparse_linear", "null")
 VARIANCE_CONVENTIONS = ("var", "std")
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one generator call (used by sweeps and the CLI)."""
+    """One scenario: what `generate` draws, what `population_risk` scores and
+    what a dataset's meta records (see `scenario_of`)."""
 
     kind: str
     n: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("section4", "sparse_linear", "null"):
+        if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
@@ -75,89 +83,88 @@ def gen_section4(n: int, big_m: int, seed, variance_convention: str = "var") -> 
     W has variance 0.25 and U has variance 9. Meta records the two coordinate
     groups as inclusive 1-based ranges.
     """
-    if big_m < 25:
-        raise ValueError("big_m must be at least 25")
-    if variance_convention not in VARIANCE_CONVENTIONS:
-        raise ValueError("variance_convention must be 'var' or 'std'")
-    w_scale = 0.5 if variance_convention == "var" else 0.25
-    u_scale = 3.0 if variance_convention == "var" else 9.0
-    rng = np.random.default_rng(seed)
-    x_main = rng.standard_normal((n, big_m))
-    w = rng.normal(0.0, w_scale, size=n)
-    u = rng.normal(0.0, u_scale, size=(n, 5))
-    v = x_main[:, :25].sum(axis=1) / 5.0
-    y = np.where(v + w >= 0.0, 1.0, -1.0)
-    x = np.concatenate([x_main, v[:, None] + u], axis=1)
-    meta = {
-        "scenario": "section4",
-        "seed": _seed_record(seed),
-        "params": {"n": n, "big_m": big_m, "variance_convention": variance_convention},
-        "relevant_range": [1, 25],
-        "proxy_range": [big_m + 1, big_m + 5],
-    }
-    return Dataset(x, y, meta)
+    return generate(ScenarioSpec("section4", n, {
+        "big_m": big_m, "variance_convention": variance_convention}), seed)
 
 
 def gen_sparse_linear(spec: ScenarioSpec, seed) -> Dataset:
     """Regression scenario y = beta_star . x + N(0, sigma^2) with N(0,1) design."""
     if spec.kind != "sparse_linear":
         raise ValueError("spec.kind must be 'sparse_linear'")
-    beta_star: Coefficients = spec.params["beta_star"]
-    sigma = float(spec.params["sigma"])
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((spec.n, beta_star.m))
-    noise = rng.normal(0.0, sigma, size=spec.n) if sigma > 0 else np.zeros(spec.n)
-    y = x @ beta_star.values + noise
-    nonzeros = [[int(j) + 1, float(v)] for j, v in enumerate(beta_star.values) if v != 0.0]
-    meta = {
-        "scenario": "sparse_linear",
-        "seed": _seed_record(seed),
-        "params": {"m": beta_star.m, "sigma": sigma, "beta_star": nonzeros},
-        "relevant_range": None,
-        "proxy_range": None,
-    }
-    return Dataset(x, y, meta)
+    return generate(spec, seed)
 
 
 def gen_null(n: int, m: int, sigma: float, seed) -> Dataset:
     """Null scenario: y ~ N(0, sigma^2) independent of the N(0,1) design."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, m))
-    y = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
-    meta = {
-        "scenario": "null",
-        "seed": _seed_record(seed),
-        "params": {"m": m, "sigma": sigma},
-        "relevant_range": None,
-        "proxy_range": None,
-    }
-    return Dataset(x, y, meta)
+    return generate(ScenarioSpec("null", n, {"m": m, "sigma": sigma}), seed)
 
 
 def generate(spec: ScenarioSpec, seed) -> Dataset:
-    """Dispatch a ScenarioSpec to its generator."""
+    """Draw the dataset spec describes from stream seed; meta records both."""
+    n, p = spec.n, spec.params
+    rng = np.random.default_rng(seed)
+    ranges = (None, None)  # relevant and proxy columns, inclusive 1-based
     if spec.kind == "section4":
-        return gen_section4(spec.n, int(spec.params["big_m"]), seed,
-                            spec.params.get("variance_convention", "var"))
-    if spec.kind == "sparse_linear":
-        return gen_sparse_linear(spec, seed)
-    return gen_null(spec.n, int(spec.params["m"]), float(spec.params["sigma"]), seed)
+        big_m = int(p["big_m"])
+        convention = p.get("variance_convention", "var")
+        x_main = rng.standard_normal((n, big_m))
+        w = rng.normal(0.0, 0.5 if convention == "var" else 0.25, size=n)
+        u = rng.normal(0.0, 3.0 if convention == "var" else 9.0, size=(n, 5))
+        v = x_main[:, :25].sum(axis=1) / 5.0
+        y = np.where(v + w >= 0.0, 1.0, -1.0)
+        x = np.concatenate([x_main, v[:, None] + u], axis=1)
+        params = {"n": n, "big_m": big_m, "variance_convention": convention}
+        ranges = ([1, 25], [big_m + 1, big_m + 5])
+    else:
+        beta_star = p["beta_star"] if spec.kind == "sparse_linear" else None
+        m = int(p["m"]) if beta_star is None else beta_star.m
+        sigma = float(p["sigma"])
+        x = rng.standard_normal((n, m))
+        y = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        params = {"m": m, "sigma": sigma}
+        if beta_star is not None:
+            y = x @ beta_star.values + y
+            params["beta_star"] = beta_star.nonzeros_1based()
+    return Dataset(x, y, {"scenario": spec.kind, "seed": _seed_record(seed),
+                          "params": params, "relevant_range": ranges[0],
+                          "proxy_range": ranges[1]})
 
 
-def true_risk_gaussian(beta: Coefficients, beta_star: Coefficients, sigma: float) -> float:
-    """Population squared-loss risk sigma^2 + ||beta - beta_star||_2^2.
+def scenario_of(d: Dataset) -> ScenarioSpec | None:
+    """The spec that drew d, rebuilt from the meta its generator recorded;
+    None when the meta names no scenario (no sidecar, or not a generator's).
+    With the seed in the meta, `generate` redraws d bit for bit."""
+    meta = d.meta or {}
+    kind = meta.get("scenario")
+    if kind not in SCENARIO_KINDS:
+        return None
+    p = meta["params"]
+    if kind == "section4":
+        params = {"big_m": int(p["big_m"]),
+                  "variance_convention": p["variance_convention"]}
+    else:
+        params = {"m": int(p["m"]), "sigma": float(p["sigma"])}
+        if kind == "sparse_linear":
+            params["beta_star"] = Coefficients.from_1based(params["m"],
+                                                           p["beta_star"])
+    return ScenarioSpec(kind, d.n, params)
 
-    Exact for the sparse_linear / null scenarios, whose design is i.i.d.
-    standard normal (orthonormal in population).
+
+def population_risk(spec: ScenarioSpec, beta: Coefficients) -> float:
+    """Exact squared-loss population risk sigma^2 + ||beta - beta_star||_2^2.
+
+    Holds for the sparse_linear and null (beta_star = 0) scenarios, whose
+    design is i.i.d. standard normal (orthonormal in population); section4
+    has no closed form here.
     """
-    if beta.m != beta_star.m:
-        raise ValueError(f"dimension mismatch: {beta.m} vs {beta_star.m}")
-    diff = beta.values - beta_star.values
-    return float(sigma) ** 2 + float(diff @ diff)
+    if spec.kind == "section4":
+        raise ValueError("no closed-form population risk for section4")
+    beta_star = spec.params["beta_star"] if spec.kind == "sparse_linear" else None
+    m = int(spec.params["m"]) if beta_star is None else beta_star.m
+    if beta.m != m:
+        raise ValueError(f"dimension mismatch: {beta.m} vs {m}")
+    diff = beta.values if beta_star is None else beta.values - beta_star.values
+    return float(spec.params["sigma"]) ** 2 + float(diff @ diff)
 
 
 def sparse_unit_vector(m: int, support_size: int) -> Coefficients:

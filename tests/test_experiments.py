@@ -15,11 +15,10 @@ from l1risk.experiments import (
     lambda_sweep,
     persistence_curve,
     ridge_vs_l1_demo,
-    self_consistency_gap,
     sup_deviation,
 )
-from l1risk.risk import SQUARED, Coefficients, empirical_risk
-from l1risk.simgen import ScenarioSpec, gen_null, true_risk_gaussian
+from l1risk.risk import SQUARED, empirical_risk
+from l1risk.simgen import ScenarioSpec, gen_null, population_risk
 from l1risk.solvers import SolveConfig
 
 # deliberately loose solver settings: these tests exercise bookkeeping, not
@@ -172,7 +171,6 @@ def _no_draws(*args, **kwargs):
 
 def test_lambda_sweep_validation(monkeypatch):
     monkeypatch.setattr(experiments, "generate", _no_draws)
-    monkeypatch.setattr(experiments, "gen_section4", _no_draws)
     with pytest.raises(ValueError):
         lambda_sweep(SMALL, [], reps=1, test_n=10, cfg=FAST)
     with pytest.raises(ValueError):
@@ -220,7 +218,7 @@ def test_persistence_curve_accepts_an_iterator_of_ns():
 
 
 def test_persistence_curve_validation(monkeypatch):
-    monkeypatch.setattr(experiments, "gen_sparse_linear", _no_draws)
+    monkeypatch.setattr(experiments, "generate", _no_draws)
     for ns, alpha, reps in (((20,), 1.0, 1), ((5,), 1.2, 1),
                             ((1600, 5), 1.2, 1), ((20,), 1.2, 0)):
         with pytest.raises(ValueError):
@@ -241,7 +239,7 @@ def test_ridge_demo_bookkeeping(monkeypatch):
     assert all(b in (0.0, 1.0) for b in demo.selected_budgets)
     assert demo.ridge_risk_mean == pytest.approx(np.mean(demo.ridge_risks))
     assert demo.selected_risk_mean == pytest.approx(np.mean(demo.selected_risks))
-    monkeypatch.setattr(experiments, "gen_null", _no_draws)
+    monkeypatch.setattr(experiments, "generate", _no_draws)
     for budgets, reps, delta in (((), 2, 0.25), ((0.0, 1.0), 0, 0.25),
                                  ((1.0, -1.0), 2, 0.25), ((1.0,), 2, -0.25)):
         with pytest.raises(ValueError):
@@ -265,13 +263,13 @@ def test_sup_deviation_callable_matches_dataset_oracle():
 
 
 def test_sup_deviation_shrinks_with_sample_size():
-    zero = Coefficients.zeros(20)
+    null = ScenarioSpec("null", 1, {"m": 20, "sigma": 1.0})
     gaps = []
     for n in (200, 800, 3200):
         train = gen_null(n, 20, 1.0, seed=9)
         gaps.append(sup_deviation(
             train, 40, 3, 0.5, SQUARED,
-            lambda b: true_risk_gaussian(b, zero, 1.0), seed=3))
+            lambda b: population_risk(null, b), seed=3))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -283,15 +281,6 @@ def test_sup_deviation_validation():
         sup_deviation(d, 5, 0, 0.5, SQUARED, d)
     with pytest.raises(ValueError):
         sup_deviation(d, 5, 6, 0.5, SQUARED, d)
-
-
-def test_self_consistency_gap_basics():
-    d = gen_null(40, 4, 1.0, seed=11)
-    beta = Coefficients(np.array([0.2, 0.0, -0.1, 0.0]))
-    assert self_consistency_gap(d, d, beta, SQUARED) == 0.0
-    other = gen_null(40, 5, 1.0, seed=12)
-    with pytest.raises(ValueError):
-        self_consistency_gap(d, other, beta, SQUARED)
 
 
 def test_heavier_penalties_close_the_generalization_gap():

