@@ -9,9 +9,10 @@ projected-gradient fixed-point residual at the accepted step length.
 Stopping rule: the residual is checked at beta = 0 and after every accepted
 step, from the gradient just computed for the next step, and the run stops
 at the first iterate whose residual is at most `CERTIFICATE_TOL`. Only runs
-that never get there stop otherwise: on a relative objective change below
-`SolveConfig.tol` (a stall), on a step that does not move, on a line search
-that finds no acceptable step, or at `SolveConfig.max_iter`.
+that never get there stop otherwise: after `_STALL_STEPS` consecutive
+accepted steps whose relative objective change is below `SolveConfig.tol`
+(a stall), on a step that does not move, on a line search that finds no
+acceptable step, or at `SolveConfig.max_iter`.
 `SolveReport.reason` names the rule that fired; a run is converged exactly
 when it is "certified".
 
@@ -48,13 +49,16 @@ _ARMIJO = 1e-4
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e18
 _MAX_BACKTRACKS = 60
+# One tiny decrease is not a stall: a fit can make one and certify on the
+# next step.
+_STALL_STEPS = 2
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Fallback stopping rule shared by all solvers: an iteration cap and a
-    stall threshold on the relative objective change. A run stops earlier,
-    at its first certified iterate."""
+    stall threshold on the relative objective change (see the module
+    docstring). A run stops earlier, at its first certified iterate."""
 
     max_iter: int = 10000
     tol: float = 1e-13
@@ -157,6 +161,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
     eta = _STEP_INIT
     rejections = 0
     iterations = 0
+    small_steps = 0  # consecutive accepted steps below the stall threshold
     prev_beta = None
     prev_grad = None
     res = np.inf if residual is None else residual(beta, grad, eta)
@@ -199,8 +204,10 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
             reason = "certified"
         elif move_sq == 0.0:
             reason = "zero_step"
-        elif rel_change < cfg.tol:
-            reason = "stalled"
+        else:
+            small_steps = small_steps + 1 if rel_change < cfg.tol else 0
+            if small_steps == _STALL_STEPS:
+                reason = "stalled"
     return beta, SolveReport(iterations, obj, float(res), rejections,
                              reason or "max_iter")
 

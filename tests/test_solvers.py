@@ -300,6 +300,17 @@ def test_stop_reasons_agree_with_converged(hadamard):
         assert report.converged == (report.reason == "certified")
 
 
+def test_one_tiny_decrease_is_not_a_stall():
+    # a ridge-demo fit whose 17th step lowers the objective by only 5.9e-14
+    # (relative change below tol = 1e-13) at residual 1.52e-5; the next step
+    # certifies
+    d = gen_null(200, 2000, 1.0, [1, 8, 0])
+    _, report = solve_constrained(d, SQUARED, 1.0)
+    assert report.reason == "certified"
+    assert report.iterations == 18
+    assert report.kkt_residual <= CERTIFICATE_TOL
+
+
 def _support_sizes(m):
     """Empty, one column, both sides of the restricted-product threshold, and
     dense supports for m columns."""
