@@ -61,6 +61,8 @@ class ScenarioSpec:
         elif self.kind == "sparse_linear":
             if not isinstance(p.get("beta_star"), Coefficients):
                 raise ValueError("sparse_linear needs params['beta_star']: Coefficients")
+            if int(p.get("m", p["beta_star"].m)) != p["beta_star"].m:
+                raise ValueError("sparse_linear params['m'] must equal beta_star.m")
             if float(p.get("sigma", -1.0)) < 0:
                 raise ValueError("sparse_linear needs params['sigma'] >= 0")
         else:
@@ -120,10 +122,10 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
         m = int(p["m"]) if beta_star is None else beta_star.m
         sigma = float(p["sigma"])
         x = rng.standard_normal((n, m))
-        y = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
+        y = noise if beta_star is None else x @ beta_star.values + noise
         params = {"m": m, "sigma": sigma}
         if beta_star is not None:
-            y = x @ beta_star.values + y
             params["beta_star"] = beta_star.nonzeros_1based()
     return Dataset(x, y, {"scenario": spec.kind, "seed": _seed_record(seed),
                           "params": params, "relevant_range": ranges[0],

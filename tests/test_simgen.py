@@ -202,6 +202,7 @@ def test_scenario_spec_validation():
         ("section4", 10, {"variance_convention": "stdev"}),
         ("sparse_linear", 10, {"beta_star": [1.0, 2.0]}),
         ("sparse_linear", 10, {"beta_star": ok, "sigma": -1.0}),
+        ("sparse_linear", 10, {"m": 3, "beta_star": ok, "sigma": 1.0}),
         ("null", 10, {"m": -1}),
         ("null", 10, {"sigma": -0.5}),
     ]
