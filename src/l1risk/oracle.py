@@ -53,15 +53,23 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
         values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
         residual = d.y - xs @ values
         return values, float((residual * residual).mean()), False
-    # smooth (sub)gradient descent on the restricted problem; with no
-    # certificate it runs to the stall threshold, so a separable subset
-    # reaches the exponential infimum
-    beta, report = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
-                            prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
-    # strictly separated margins (never all-zero ones): scaling the fit up
-    # keeps lowering the exponential risk, so the infimum is never attained
-    unbounded = loss.kind == "exponential" and \
-        bool(np.all(d.y * (xs @ beta) > 0.0))
+    def separated(beta):
+        # strictly separated margins (never all-zero ones): scaling the fit
+        # up keeps lowering the exponential risk, so no minimizer exists
+        return bool(np.all(d.y * (xs @ beta) > 0.0))
+
+    residual = None
+    if loss.kind == "exponential":
+        # max |gradient| certifies an unconstrained smooth fit; a separated
+        # fit gets none and runs to the stall threshold, i.e. the infimum
+        def residual(beta, grad, _eta):
+            return np.inf if separated(beta) else float(np.abs(grad).max())
+    # the absolute loss is nonsmooth: its (sub)gradient descent has no
+    # certificate and runs to the stall threshold
+    beta, report, _ = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
+                               prox=lambda v, _eta: v, cfg=_SUBSET_CFG,
+                               residual=residual)
+    unbounded = loss.kind == "exponential" and separated(beta)
     return beta, report.objective, unbounded
 
 

@@ -16,9 +16,27 @@ acceptable step, or at `SolveConfig.max_iter`.
 `SolveReport.reason` names the rule that fired; a run is converged exactly
 when it is "certified".
 
-Line-search trials on a sparse candidate compute the margins from its
-support columns only (`_margins`); the gradient, and with it every
-certificate, always uses the full design.
+Smooth-loss l1 fits on wide designs solve on a growing working set of
+columns (Celer; Massias, Gramfort & Salmon 2018). The first set holds the
+`_WS_FIRST` columns with the largest |gradient| at beta = 0, the ranking
+that strong rules (Tibshirani et al. 2012) screen by. Each pass runs the
+descent on that block of the design, warm-started from the current beta
+and step length; then the gradient and the certificate are recomputed on
+the full design. If the certificate fails, the largest violators outside
+the set join it, at least `_WS_GROW` of them and at least as many as the
+support holds: a violator is a column whose |gradient| exceeds lambda
+(penalized fits) or the smallest |gradient| on the support (l1-ball fits).
+A pass on a set that just grew stops once its residual on the set is at
+most `_WS_INNER` times the last full-design residual, or `CERTIFICATE_TOL`
+if that is larger; a pass on a set that stopped growing runs to
+`CERTIFICATE_TOL`, so early passes, on sets that still miss columns, stay
+short. A set that would cover `_WS_SHARE` of the columns or more is
+replaced by all of them. Small designs therefore run one pass on the full
+design, with the iterates of a plain descent, and so do l2-ball fits and
+absolute-loss fits (which never certify). Iteration and rejection counts
+add up over passes, `max_iter` caps their total, a pass that stops
+uncertified ends the run with its reason, and the reported residual is
+always the full-design one.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
@@ -27,7 +45,7 @@ only the stopping rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,13 +53,6 @@ from l1risk.risk import Coefficients, Dataset, LossSpec, empirical_gradient, \
     loss_terms
 
 CERTIFICATE_TOL = 1e-5
-
-# Trial margins use only the candidate's support columns when the support
-# covers less than this share of them. Gathering columns costs more per
-# column than the full product streams: on 500x1005, 200x2000, 400x1318 and
-# 1600x6998 designs (2 cores, OpenBLAS 0.3.31) the gather stops paying at
-# ~12% of the columns with one BLAS thread and at ~6% with two.
-_SUPPORT_FRACTION = 0.05
 
 _STEP_INIT = 1.0
 _BACKTRACK = 0.5
@@ -52,6 +63,13 @@ _MAX_BACKTRACKS = 60
 # One tiny decrease is not a stall: a fit can make one and certify on the
 # next step.
 _STALL_STEPS = 2
+# Working sets (see the module docstring): first set size, fewest columns
+# added per pass, the share of the columns at which all of them are used,
+# and the residual reduction asked of a pass on a set that just grew.
+_WS_FIRST = 100
+_WS_GROW = 50
+_WS_SHARE = 0.25
+_WS_INNER = 0.1
 
 
 @dataclass(frozen=True)
@@ -133,39 +151,37 @@ def project_l2(v, delta: float) -> np.ndarray:
     return v * (delta / norm)
 
 
-def _margins(x, beta: np.ndarray) -> np.ndarray:
-    """x @ beta, from the support columns alone when beta is sparse enough."""
-    support = np.flatnonzero(beta)
-    if support.size < _SUPPORT_FRACTION * beta.size:
-        return x[:, support] @ beta[support]
-    return x @ beta
-
-
-def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
-    """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta).
+def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
+             beta=None, eta=_STEP_INIT, tol=CERTIFICATE_TOL):
+    """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta),
+    started at `beta` (zero if None) with first step length `eta`.
 
     `prox(v, eta)` must return the proximal/projection step for step length
     eta, and `residual(beta, grad, eta)`, if given, the certificate at beta;
-    the run stops at the first iterate it certifies. Without one only the
-    fallback rules apply and the report's residual is inf. Candidate steps
-    with nonfinite objective are rejected by the line search, so
-    exponential-loss overflow only shortens the step.
+    the run stops at the first iterate where it is at most `tol`. Without one
+    only the fallback rules apply and the report's residual is inf.
+    Candidate steps with nonfinite objective are rejected by the line
+    search, so exponential-loss overflow only shortens the step. Returns the
+    last iterate, its report and the last step length.
     """
     n, m = x.shape
-    beta = np.zeros(m)
-    values, d_margin = loss_terms(loss, y, np.zeros(n))
+    if beta is None:
+        beta = np.zeros(m)
+        margins = np.zeros(n)
+    else:
+        margins = x @ beta
+    values, d_margin = loss_terms(loss, y, margins)
     obj = float(values.mean()) + penalty(beta)
     grad = x.T @ d_margin / n
     if trace is not None:
         trace.append(obj)
-    eta = _STEP_INIT
     rejections = 0
     iterations = 0
     small_steps = 0  # consecutive accepted steps below the stall threshold
     prev_beta = None
     prev_grad = None
     res = np.inf if residual is None else residual(beta, grad, eta)
-    reason = "certified" if res <= CERTIFICATE_TOL else None
+    reason = "certified" if res <= tol else None
     while reason is None and iterations < cfg.max_iter:
         iterations += 1
         if prev_beta is not None:
@@ -180,7 +196,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
             cand = prox(beta - eta * grad, eta)
             move = cand - beta
             move_sq = float(move @ move)
-            cand_values, cand_d_margin = loss_terms(loss, y, _margins(x, cand))
+            cand_values, cand_d_margin = loss_terms(loss, y, x @ cand)
             cand_obj = float(cand_values.mean()) + penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO / eta * move_sq:
                 accepted = True
@@ -200,7 +216,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
             trace.append(obj)
         if residual is not None:
             res = residual(beta, grad, eta)
-        if res <= CERTIFICATE_TOL:
+        if res <= tol:
             reason = "certified"
         elif move_sq == 0.0:
             reason = "zero_step"
@@ -209,7 +225,78 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None):
             if small_steps == _STALL_STEPS:
                 reason = "stalled"
     return beta, SolveReport(iterations, obj, float(res), rejections,
-                             reason or "max_iter")
+                             reason or "max_iter"), eta
+
+
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries of values, in increasing order."""
+    if k >= values.size:
+        return np.arange(values.size)
+    return np.sort(np.argpartition(values, values.size - k)[values.size - k:])
+
+
+def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
+                 trace=None):
+    """`_descend` on a growing set of the columns of x (see the module
+    docstring), with the certificate always taken on the full design.
+
+    A column outside the set violates optimality when its |gradient| exceeds
+    `threshold(beta, grad)`. Without a threshold, for the absolute loss
+    (whose subgradient descent never certifies, so no pass would end with a
+    set worth growing), or when the first set would cover `_WS_SHARE` of
+    the columns, this is one pass on all of x.
+    """
+    n, m = x.shape
+    if threshold is None or loss.kind == "absolute" \
+            or _WS_FIRST >= _WS_SHARE * m:
+        return _descend(x, y, loss, penalty, prox, cfg, residual, trace)[:2]
+    beta = np.zeros(m)
+    grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
+    eta = _STEP_INIT
+    res = residual(beta, grad, eta)
+    cols = _largest(np.abs(grad), _WS_FIRST)
+    block = x[:, cols]
+    tol = max(CERTIFICATE_TOL, _WS_INNER * res)
+    iterations = rejections = 0
+    steps = None if trace is None else []
+    skip = 0  # a warm-started pass repeats the previous pass's last objective
+    while True:
+        sub, report, eta = _descend(
+            block, y, loss, penalty, prox,
+            replace(cfg, max_iter=cfg.max_iter - iterations), residual, steps,
+            beta if cols is None else beta[cols], eta, tol)
+        if trace is not None:
+            trace.extend(steps[skip:])
+            steps.clear()
+            skip = 1
+        iterations += report.iterations
+        rejections += report.step_rejections
+        if cols is None:
+            return sub, replace(report, iterations=iterations,
+                                step_rejections=rejections)
+        beta = np.zeros(m)
+        beta[cols] = sub
+        grad = x.T @ loss_terms(loss, y, block @ sub)[1] / n
+        res = residual(beta, grad, eta)
+        reason = report.reason
+        if reason == "certified" and res > CERTIFICATE_TOL:
+            reason = None if iterations < cfg.max_iter else "max_iter"
+        if reason is not None:
+            return beta, SolveReport(iterations, report.objective, res,
+                                     rejections, reason)
+        score = np.abs(grad)
+        score[cols] = 0.0
+        violators = np.flatnonzero(score > threshold(beta, grad))
+        grow = min(violators.size, max(_WS_GROW, np.count_nonzero(beta)))
+        if grow == 0 and tol > CERTIFICATE_TOL:
+            tol = CERTIFICATE_TOL  # the set holds: finish it exactly
+        elif grow == 0 or cols.size + grow >= _WS_SHARE * m:
+            cols, block, tol = None, x, CERTIFICATE_TOL
+        else:
+            joining = violators[_largest(score[violators], grow)]
+            cols = np.union1d(cols, joining)
+            block = x[:, cols]
+            tol = max(CERTIFICATE_TOL, _WS_INNER * res)
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
@@ -239,26 +326,34 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    beta, report = _descend(
+    beta, report = _working_set(
         d.x, d.y, loss,
         penalty=lambda b: lam * float(np.abs(b).sum()),
         prox=lambda v, eta: soft_threshold(v, eta * lam),
         cfg=cfg,
         residual=lambda b, g, _eta: _stationarity_residual(g, lam, b),
+        threshold=lambda b, g: lam,
         trace=trace)
     return Coefficients(beta), report
 
 
-def _solve_projected(d, loss, project, cfg, trace):
+def _solve_projected(d, loss, project, cfg, trace, threshold=None):
     def fixed_point_residual(beta, grad, eta):
         step = beta - project(beta - eta * grad)
         return float(np.sqrt(step @ step)) / eta
 
-    beta, report = _descend(
+    beta, report = _working_set(
         d.x, d.y, loss, penalty=lambda b: 0.0,
         prox=lambda v, _eta: project(v), cfg=cfg,
-        residual=fixed_point_residual, trace=trace)
+        residual=fixed_point_residual, threshold=threshold, trace=trace)
     return Coefficients(beta), report
+
+
+def _smallest_support_gradient(beta, grad):
+    """min |grad| over the support of beta (0 at beta = 0): at an l1-ball
+    optimum no coordinate's |grad| exceeds it."""
+    on = beta != 0
+    return float(np.abs(grad[on]).min()) if on.any() else 0.0
 
 
 def solve_constrained(d: Dataset, loss: LossSpec, b: float,
@@ -266,7 +361,8 @@ def solve_constrained(d: Dataset, loss: LossSpec, b: float,
     """Minimize empirical risk over the l1 ball ||beta||_1 <= b (projected gradient)."""
     if b < 0:
         raise ValueError("l1 budget must be nonnegative")
-    return _solve_projected(d, loss, lambda v: project_l1(v, b), cfg, trace)
+    return _solve_projected(d, loss, lambda v: project_l1(v, b), cfg, trace,
+                            threshold=_smallest_support_gradient)
 
 
 def solve_ridge_constrained(d: Dataset, loss: LossSpec, delta: float,

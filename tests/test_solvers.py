@@ -16,12 +16,13 @@ from l1risk.risk import (
     empirical_gradient,
     empirical_risk,
 )
-from l1risk.simgen import gen_null
+from l1risk import solvers
+from l1risk.simgen import gen_null, gen_section4
 from l1risk.solvers import (
-    _SUPPORT_FRACTION,
+    _WS_FIRST,
     CERTIFICATE_TOL,
     SolveConfig,
-    _margins,
+    _descend,
     kkt_residual,
     project_l1,
     project_l2,
@@ -301,34 +302,118 @@ def test_stop_reasons_agree_with_converged(hadamard):
 
 
 def test_one_tiny_decrease_is_not_a_stall():
-    # a ridge-demo fit whose 17th step lowers the objective by only 5.9e-14
-    # (relative change below tol = 1e-13) at residual 1.52e-5; the next step
-    # certifies
+    # a ridge-demo l1-ball fit, run as one descent on the full design: its
+    # 17th step lowers the objective by only 5.9e-14 (relative change below
+    # tol = 1e-13) at residual 1.52e-5; the next step certifies
     d = gen_null(200, 2000, 1.0, [1, 8, 0])
-    _, report = solve_constrained(d, SQUARED, 1.0)
+
+    def fixed_point_residual(beta, grad, eta):
+        step = beta - project_l1(beta - eta * grad, 1.0)
+        return float(np.sqrt(step @ step)) / eta
+
+    _, report, _ = _descend(d.x, d.y, SQUARED, penalty=lambda b: 0.0,
+                            prox=lambda v, _eta: project_l1(v, 1.0),
+                            cfg=SolveConfig(), residual=fixed_point_residual)
     assert report.reason == "certified"
     assert report.iterations == 18
     assert report.kkt_residual <= CERTIFICATE_TOL
 
 
-def _support_sizes(m):
-    """Empty, one column, both sides of the restricted-product threshold, and
-    dense supports for m columns."""
-    edge = int(np.ceil(_SUPPORT_FRACTION * m))
-    return sorted({0, 1, max(edge - 1, 0), min(edge, m), min(edge + 1, m), m})
+@pytest.fixture
+def passes(monkeypatch):
+    """(columns, iterations) of every descent pass the solvers run."""
+    seen = []
+
+    def spy(x, *args, **kwargs):
+        beta, report, eta = descend(x, *args, **kwargs)
+        seen.append((x.shape[1], report.iterations))
+        return beta, report, eta
+
+    descend = solvers._descend
+    monkeypatch.setattr(solvers, "_descend", spy)
+    return seen
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40))
-def test_margins_match_the_full_product(seed, m, n):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, m))
-    for size in _support_sizes(m):
-        beta = np.zeros(m)
-        support = rng.choice(m, size, replace=False)
-        beta[support] = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
-        got = _margins(x, beta)
-        want = x @ beta
-        assert got.shape == want.shape == (n,)
-        bound = 1e-12 * (np.abs(x) @ np.abs(beta))
-        assert np.all(np.abs(got - want) <= bound)
+def _all_columns(monkeypatch, solve, *args):
+    """The same fit as one descent on the full design."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_WS_SHARE", 0.0)
+        return solve(*args)
+
+
+WIDE_FITS = [
+    (gen_section4(200, 1000, 3), solve_penalized, EXPONENTIAL, 0.01),
+    (gen_section4(200, 1000, 3), solve_penalized, EXPONENTIAL, 0.05),
+    (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 0.25),
+    (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 1.0),
+    (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 2.0),
+]
+
+
+@pytest.mark.parametrize("d, solve, loss, arg", WIDE_FITS)
+def test_working_set_fits_are_certified_on_the_full_design(
+        d, solve, loss, arg, passes, monkeypatch):
+    beta, report = solve(d, loss, arg)
+    assert passes[0][0] == _WS_FIRST < d.m
+    assert report.reason == "certified"
+    assert report.kkt_residual <= CERTIFICATE_TOL
+    if solve is solve_penalized:
+        assert kkt_residual(d, loss, arg, beta) <= CERTIFICATE_TOL
+    else:
+        # a binding l1-ball optimum is a lasso optimum at lambda = ||grad||_inf
+        assert beta.l1_norm == pytest.approx(arg, abs=1e-9)
+        lam = float(np.abs(empirical_gradient(d, beta, loss)).max())
+        assert kkt_residual(d, loss, lam, beta) <= CERTIFICATE_TOL
+    _, whole = _all_columns(monkeypatch, solve, d, loss, arg)
+    assert whole.converged
+    assert report.objective == pytest.approx(whole.objective, abs=1e-6)
+
+
+def test_small_l2_and_absolute_loss_fits_run_one_full_pass(passes):
+    wide = gen_section4(200, 1000, 3)
+    small = gen_section4(200, 300, 3)  # 100 columns: over a quarter of 305
+    solve_penalized(wide, ABSOLUTE, 0.05, SolveConfig(max_iter=50))
+    solve_ridge_constrained(wide, SQUARED, 0.5)
+    solve_penalized(small, EXPONENTIAL, 0.05)
+    solve_constrained(small, SQUARED, 1.0)
+    assert [cols for cols, _ in passes] == [1005, 1005, 305, 305]
+
+
+def test_working_set_finds_a_column_the_first_set_misses(passes):
+    # y = x1 - c * x0 with c chosen so that x1 is orthogonal to y: column 1
+    # has no gradient at beta = 0, so the first set leaves it out, yet it
+    # carries a unit coefficient
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((200, 1000))
+    x[:, 1] = x[:, 0] + 0.5 * rng.standard_normal(200)
+    y = x[:, 1] - (x[:, 1] @ x[:, 1]) / (x[:, 1] @ x[:, 0]) * x[:, 0]
+    d = Dataset(x, y)
+    g0 = np.abs(empirical_gradient(d, Coefficients.zeros(1000), SQUARED))
+    assert 1 not in np.argsort(g0)[-_WS_FIRST:]
+    beta, report = solve_penalized(d, SQUARED, 0.05)
+    assert len(passes) >= 2
+    assert report.converged
+    assert beta.values[1] > 0.5
+
+
+def test_max_iter_caps_the_total_over_passes(passes):
+    d = gen_section4(200, 1000, 3)
+    _, report = solve_penalized(d, EXPONENTIAL, 0.05)
+    assert report.converged and len(passes) >= 2
+    # at the end of the first pass, and inside the last one
+    for cut in (passes[0][1], report.iterations - 1):
+        _, cut_report = solve_penalized(d, EXPONENTIAL, 0.05,
+                                        SolveConfig(max_iter=cut))
+        assert cut_report.reason == "max_iter" and not cut_report.converged
+        assert cut_report.iterations == cut
+        assert cut_report.kkt_residual > CERTIFICATE_TOL
+
+
+def test_the_trace_is_monotone_across_passes(passes):
+    d = gen_section4(200, 1000, 3)
+    trace = []
+    _, report = solve_penalized(d, EXPONENTIAL, 0.01, trace=trace)
+    assert len(passes) >= 2
+    assert len(trace) == report.iterations + 1
+    assert trace[-1] == report.objective
+    assert np.all(np.diff(trace) <= 1e-12)
