@@ -18,7 +18,11 @@ a dataset's sidecar is enough to redraw it.
 Determinism contract: a generator is a pure function of (parameters, seed).
 Seeds feed numpy's PCG64 via ``np.random.default_rng(seed)``; derived streams
 use list seeds ``[base, index, ...]``. The per-dataset draw order is fixed and
-the seed is recorded in ``Dataset.meta``.
+the seed is recorded in ``Dataset.meta``. section4 draws the n x big_m main
+block row-major, then W (n values), then U (n x 5, row-major). The design is
+allocated once and filled in place, in row blocks that continue the stream
+exactly as one (n, big_m) draw would. sparse_linear and null draw the design
+row-major, then the noise (none when sigma = 0).
 
 The dispersion notation "0.25" / "9" for the section4 noise terms is read as a
 variance by default; ``variance_convention="std"`` switches to reading it as a
@@ -36,6 +40,7 @@ from l1risk.risk import Coefficients, Dataset
 
 SCENARIO_KINDS = ("section4", "sparse_linear", "null")
 VARIANCE_CONVENTIONS = ("var", "std")
+_DRAW_BLOCK = 65_536  # values per row block of section4's main draw (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,10 @@ def gen_section4(n: int, big_m: int, seed, variance_convention: str = "var") -> 
     and the last five columns are V + U_j. Under the default "var" convention
     W has variance 0.25 and U has variance 9. Meta records the two coordinate
     groups as inclusive 1-based ranges.
+
+    Draw order (the determinism contract): the n x big_m main block
+    row-major, then W, then U (n x 5, row-major). The design is allocated
+    once and filled in place; no full-size intermediate is made.
     """
     return generate(ScenarioSpec("section4", n, {
         "big_m": big_m, "variance_convention": variance_convention}), seed)
@@ -109,12 +118,21 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
     if spec.kind == "section4":
         big_m = int(p["big_m"])
         convention = p.get("variance_convention", "var")
-        x_main = rng.standard_normal((n, big_m))
+        # The main block goes into x through a small reused buffer: out=
+        # needs a contiguous target, and consecutive fills continue the
+        # stream exactly as one (n, big_m) draw would.
+        x = np.empty((n, big_m + 5))
+        rows = max(1, _DRAW_BLOCK // big_m)
+        block = np.empty((min(rows, n), big_m))
+        for r0 in range(0, n, rows):
+            k = min(rows, n - r0)
+            rng.standard_normal(out=block[:k])
+            x[r0:r0 + k, :big_m] = block[:k]
         w = rng.normal(0.0, 0.5 if convention == "var" else 0.25, size=n)
         u = rng.normal(0.0, 3.0 if convention == "var" else 9.0, size=(n, 5))
-        v = x_main[:, :25].sum(axis=1) / 5.0
+        v = x[:, :25].sum(axis=1) / 5.0
         y = np.where(v + w >= 0.0, 1.0, -1.0)
-        x = np.concatenate([x_main, v[:, None] + u], axis=1)
+        np.add(v[:, None], u, out=x[:, big_m:])
         params = {"n": n, "big_m": big_m, "variance_convention": convention}
         ranges = ([1, 25], [big_m + 1, big_m + 5])
     else:

@@ -1,12 +1,15 @@
 """Synthetic data generators: shapes, moments, determinism, population risk
 and redraws from the meta sidecar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from l1risk.io import read_dataset, write_dataset
 from l1risk.risk import Coefficients, Dataset
 from l1risk.simgen import (
+    _DRAW_BLOCK,
     ScenarioSpec,
     gen_null,
     gen_section4,
@@ -68,6 +71,46 @@ def test_variance_convention_changes_only_the_noise_scales():
     assert not np.array_equal(a.x[:, 25:], b.x[:, 25:])
     assert a.meta["params"]["variance_convention"] == "var"
     assert b.meta["params"]["variance_convention"] == "std"
+
+
+def _section4_reference(n, big_m, seed, convention):
+    # the stream contract written out: one (n, big_m) main draw, then W,
+    # then U, and the proxies appended by concatenation
+    rng = np.random.default_rng(seed)
+    x_main = rng.standard_normal((n, big_m))
+    w = rng.normal(0.0, 0.5 if convention == "var" else 0.25, size=n)
+    u = rng.normal(0.0, 3.0 if convention == "var" else 9.0, size=(n, 5))
+    v = x_main[:, :25].sum(axis=1) / 5.0
+    y = np.where(v + w >= 0.0, 1.0, -1.0)
+    return np.concatenate([x_main, v[:, None] + u], axis=1), y
+
+
+_ROWS = _DRAW_BLOCK // 1000  # rows per block of a 1000-column main draw
+
+
+@pytest.mark.parametrize("convention", ["var", "std"])
+@pytest.mark.parametrize("n, big_m", [
+    (1, 1000), (_ROWS - 1, 1000), (_ROWS, 1000), (_ROWS + 1, 1000),
+    (3 * _ROWS + 7, 1000), (40, 25),
+    (3, _DRAW_BLOCK + 4),  # one row is larger than a block
+])
+def test_section4_matches_the_single_draw_reference(n, big_m, convention):
+    d = gen_section4(n, big_m, [11, n], variance_convention=convention)
+    x, y = _section4_reference(n, big_m, [11, n], convention)
+    assert d.x.shape == x.shape
+    assert d.x.tobytes() == x.tobytes()
+    assert d.y.tobytes() == y.tobytes()
+
+
+def test_section4_draws_without_a_full_size_copy():
+    gen_section4(2, 25, seed=0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        d = gen_section4(1000, 1000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * d.x.nbytes
 
 
 def test_sparse_linear_noiseless_is_exact():

@@ -151,6 +151,19 @@ def test_ridge_hits_the_boundary_when_the_radius_is_small():
     assert abs(beta.l2_norm - 0.15) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_l2_ball_fit_is_the_min_norm_interpolant_at_the_criterion_4_shape(seed):
+    # why acceptance criterion 4 fails: at n=200, m=2000 the signal-free
+    # data have interpolants of norm ~sqrt(n / (m - n - 1)) ~ 0.333, so the
+    # radius 0.7 never binds and the l2-ball fit is the pinv solution
+    d = gen_null(200, 2000, 1.0, [seed, 0])
+    beta, report = solve_ridge_constrained(d, SQUARED, 0.7)
+    assert report.converged
+    np.testing.assert_allclose(beta.values, np.linalg.pinv(d.x) @ d.y,
+                               rtol=0, atol=1e-5)
+    assert 0.25 <= beta.l2_norm <= 0.4  # well inside the radius 0.7
+
+
 def test_kkt_residual_pinned(hadamard):
     exact = Coefficients(np.array([2.5, 1.5, 0.5]))
     assert kkt_residual(hadamard, SQUARED, 1.0, exact) <= 1e-12
