@@ -30,13 +30,16 @@ A pass on a set that just grew stops once its residual on the set is at
 most `_WS_INNER` times the last full-design residual, or `CERTIFICATE_TOL`
 if that is larger; a pass on a set that stopped growing runs to
 `CERTIFICATE_TOL`, so early passes, on sets that still miss columns, stay
-short. A set that would cover `_WS_SHARE` of the columns or more is
-replaced by all of them. Small designs therefore run one pass on the full
-design, with the iterates of a plain descent, and so do l2-ball fits and
-absolute-loss fits (which never certify). Iteration and rejection counts
-add up over passes, `max_iter` caps their total, a pass that stops
-uncertified ends the run with its reason, and the reported residual is
-always the full-design one.
+short. Once a pass has run to `CERTIFICATE_TOL`, every later pass does too:
+a column that joins late would otherwise reopen a loose pass and then need
+a second exact one. A set that would cover `_WS_SHARE` (half) of the
+columns or more is replaced by all of them. Blocks are gathered into a
+buffer that a solve reuses until a set outgrows it. Designs of at most
+`_WS_SMALL` columns run one pass on the full design, with the iterates of
+a plain descent, and so do l2-ball fits and absolute-loss fits (which
+never certify). Iteration and rejection counts add up over passes,
+`max_iter` caps their total, a pass that stops uncertified ends the run
+with its reason, and the reported residual is always the full-design one.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
@@ -65,11 +68,13 @@ _MAX_BACKTRACKS = 60
 _STALL_STEPS = 2
 # Working sets (see the module docstring): first set size, fewest columns
 # added per pass, the share of the columns at which all of them are used,
-# and the residual reduction asked of a pass on a set that just grew.
+# the residual reduction asked of a pass on a set that just grew, and the
+# widest design that runs one full pass instead.
 _WS_FIRST = 100
 _WS_GROW = 50
-_WS_SHARE = 0.25
+_WS_SHARE = 0.5
 _WS_INNER = 0.1
+_WS_SMALL = 400
 
 
 @dataclass(frozen=True)
@@ -243,19 +248,33 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
     A column outside the set violates optimality when its |gradient| exceeds
     `threshold(beta, grad)`. Without a threshold, for the absolute loss
     (whose subgradient descent never certifies, so no pass would end with a
-    set worth growing), or when the first set would cover `_WS_SHARE` of
-    the columns, this is one pass on all of x.
+    set worth growing), or for designs of at most `_WS_SMALL` columns, this
+    is one pass on all of x.
     """
     n, m = x.shape
-    if threshold is None or loss.kind == "absolute" \
-            or _WS_FIRST >= _WS_SHARE * m:
+    if threshold is None or loss.kind == "absolute" or m <= _WS_SMALL:
         return _descend(x, y, loss, penalty, prox, cfg, residual, trace)[:2]
+
+    # One gather buffer, with room for twice the set, replaced only when a
+    # set outgrows it. Allocating room for the largest set up front costs
+    # peak memory: once freed, a block that size raises glibc's mmap
+    # threshold, so later arrays stay on the heap.
+    flat = np.empty(0)
+
+    def gather(cols):
+        nonlocal flat
+        if flat.size < n * cols.size:
+            flat = np.empty(n * min(2 * cols.size, int(_WS_SHARE * m)))
+        # mode="clip" writes straight into out; the default buffers it
+        return np.take(x, cols, axis=1, mode="clip",
+                       out=flat[:n * cols.size].reshape(n, cols.size))
+
     beta = np.zeros(m)
     grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
     eta = _STEP_INIT
     res = residual(beta, grad, eta)
     cols = _largest(np.abs(grad), _WS_FIRST)
-    block = x[:, cols]
+    block = gather(cols)
     tol = max(CERTIFICATE_TOL, _WS_INNER * res)
     iterations = rejections = 0
     steps = None if trace is None else []
@@ -295,8 +314,9 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
         else:
             joining = violators[_largest(score[violators], grow)]
             cols = np.union1d(cols, joining)
-            block = x[:, cols]
-            tol = max(CERTIFICATE_TOL, _WS_INNER * res)
+            block = gather(cols)
+            if tol > CERTIFICATE_TOL:  # once exact, passes stay exact
+                tol = max(CERTIFICATE_TOL, _WS_INNER * res)
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:

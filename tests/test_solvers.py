@@ -1,6 +1,7 @@
 """Penalized and ball-constrained solvers and their certificates."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from l1risk import solvers
 from l1risk.simgen import gen_null, gen_section4
 from l1risk.solvers import (
     _WS_FIRST,
+    _WS_SMALL,
     CERTIFICATE_TOL,
     SolveConfig,
     _descend,
@@ -347,11 +349,14 @@ def passes(monkeypatch):
     return seen
 
 
-def _all_columns(monkeypatch, solve, *args):
+def _all_columns(monkeypatch, passes, solve, d, *args):
     """The same fit as one descent on the full design."""
+    before = len(passes)
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_WS_SHARE", 0.0)
-        return solve(*args)
+        patch.setattr(solvers, "_WS_SMALL", d.m)
+        fit = solve(d, *args)
+    assert [cols for cols, _ in passes[before:]] == [d.m]
+    return fit
 
 
 WIDE_FITS = [
@@ -360,6 +365,8 @@ WIDE_FITS = [
     (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 0.25),
     (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 1.0),
     (gen_null(200, 2000, 1.0, 4), solve_constrained, SQUARED, 2.0),
+    # a support of ~200 columns: past a quarter of the design, under half
+    (gen_section4(500, 1000, [1, 0, 1, 0]), solve_penalized, EXPONENTIAL, 0.01),
 ]
 
 
@@ -367,7 +374,8 @@ WIDE_FITS = [
 def test_working_set_fits_are_certified_on_the_full_design(
         d, solve, loss, arg, passes, monkeypatch):
     beta, report = solve(d, loss, arg)
-    assert passes[0][0] == _WS_FIRST < d.m
+    assert passes[0][0] == _WS_FIRST
+    assert max(cols for cols, _ in passes) < d.m
     assert report.reason == "certified"
     assert report.kkt_residual <= CERTIFICATE_TOL
     if solve is solve_penalized:
@@ -377,14 +385,44 @@ def test_working_set_fits_are_certified_on_the_full_design(
         assert beta.l1_norm == pytest.approx(arg, abs=1e-9)
         lam = float(np.abs(empirical_gradient(d, beta, loss)).max())
         assert kkt_residual(d, loss, lam, beta) <= CERTIFICATE_TOL
-    _, whole = _all_columns(monkeypatch, solve, d, loss, arg)
+    _, whole = _all_columns(monkeypatch, passes, solve, d, loss, arg)
     assert whole.converged
     assert report.objective == pytest.approx(whole.objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("big_m, first", [(_WS_SMALL - 5, _WS_SMALL),
+                                          (_WS_SMALL - 4, _WS_FIRST)])
+def test_designs_up_to_the_cutoff_run_one_full_pass(big_m, first, passes):
+    # section4 designs have big_m + 5 columns
+    solve_penalized(gen_section4(100, big_m, 1), EXPONENTIAL, 0.05)
+    assert passes[0][0] == first
+
+
+def test_passes_stay_exact_after_an_exact_pass(monkeypatch):
+    # without the exact-once rule, the column that joins after the exact
+    # pass reopens a loose pass and then needs a second exact one (100, 200,
+    # 200, 201, 201 columns; 173 iterations)
+    tols = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(descend).bind(*args, **kwargs)
+        bound.apply_defaults()
+        tols.append(bound.arguments["tol"])
+        return descend(*args, **kwargs)
+
+    descend = solvers._descend
+    monkeypatch.setattr(solvers, "_descend", spy)
+    _, report = solve_penalized(gen_section4(200, 1000, 3), EXPONENTIAL, 0.05)
+    assert report.converged
+    first_exact = tols.index(CERTIFICATE_TOL)
+    assert first_exact < len(tols) - 1
+    assert tols[first_exact:] == [CERTIFICATE_TOL] * (len(tols) - first_exact)
+    assert report.iterations < 173
+
+
 def test_small_l2_and_absolute_loss_fits_run_one_full_pass(passes):
     wide = gen_section4(200, 1000, 3)
-    small = gen_section4(200, 300, 3)  # 100 columns: over a quarter of 305
+    small = gen_section4(200, 300, 3)  # 305 columns: at most _WS_SMALL
     solve_penalized(wide, ABSOLUTE, 0.05, SolveConfig(max_iter=50))
     solve_ridge_constrained(wide, SQUARED, 0.5)
     solve_penalized(small, EXPONENTIAL, 0.05)
