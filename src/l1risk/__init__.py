@@ -49,7 +49,6 @@ from l1risk.simgen import (
     sparse_unit_vector,
 )
 from l1risk.experiments import (
-    DEFAULT_SWEEP_CONFIG,
     PersistencePoint,
     RidgeComparison,
     SweepRow,
@@ -64,7 +63,6 @@ __all__ = [
     "BudgetExceededError",
     "CERTIFICATE_TOL",
     "Coefficients",
-    "DEFAULT_SWEEP_CONFIG",
     "Dataset",
     "EXPONENTIAL",
     "LossSpec",

@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output coefficients JSON")
 
     p = sub.add_parser("sweep", help="average penalized fits over a lambda grid")
-    p.add_argument("--scenario", choices=["section4"], default="section4")
     p.add_argument("--n", type=int, required=True, help="training observations")
     p.add_argument("--big-m", type=int, required=True)
     p.add_argument("--lambdas", required=True,

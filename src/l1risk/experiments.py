@@ -221,8 +221,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("need at least one lambda")
-    if any(lam < 0 for lam in lambdas):
-        raise ValueError("lambda must be nonnegative")
+    if not all(0 <= lam < math.inf for lam in lambdas):
+        raise ValueError("lambda must be nonnegative and finite")
     if reps < 1 or test_n < 1:
         raise ValueError("reps and test_n must be positive")
     if threads < 1:
@@ -279,7 +279,7 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     smallest budget admitting the target, since ||beta*||_1 = sqrt(k) here).
     Repetition r at n-index i draws from stream [seed, i, r].
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError("alpha must exceed 1")
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -326,9 +326,9 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
     budgets = [float(b) for b in l1_budgets]
     if not budgets:
         raise ValueError("need at least one l1 budget")
-    if any(b < 0 for b in budgets):
+    if not all(b >= 0 for b in budgets):
         raise ValueError("l1 budget must be nonnegative")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("l2 radius must be nonnegative")
     if reps < 1:
         raise ValueError("reps must be positive")

@@ -48,9 +48,9 @@ def sparsify(beta: Coefficients, kappa: int, rng) -> SparsifyOutcome:
 
 def deviation_bound(big_m: float, b: float, delta: float, kappa: int) -> float:
     """Margin-deviation probability bound min(1, M^2 b^2 / (delta^2 kappa))."""
-    if big_m < 0 or b < 0:
+    if not (big_m >= 0 and b >= 0):
         raise ValueError("M and b must be nonnegative")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -66,7 +66,7 @@ def empirical_deviation_rate(d: Dataset, beta: Coefficients, kappa: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     base = predict_margin(d, beta)
     exceed = 0

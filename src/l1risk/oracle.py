@@ -105,7 +105,7 @@ def grid_best(d: Dataset, k: int, cube_radius: float, step: float,
     """
     if k < 1 or k > min(d.n, d.m):
         raise ValueError(f"k must lie in [1, min(n, m)] = [1, {min(d.n, d.m)}]")
-    if cube_radius <= 0 or step <= 0:
+    if not (cube_radius > 0 and step > 0):
         raise ValueError("cube_radius and step must be positive")
     q = max(1, math.ceil(2.0 * cube_radius / step - 1e-12))
     count = math.comb(d.m, k) * q ** k

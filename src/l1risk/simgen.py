@@ -68,12 +68,12 @@ class ScenarioSpec:
                 raise ValueError("sparse_linear needs params['beta_star']: Coefficients")
             if int(p.get("m", p["beta_star"].m)) != p["beta_star"].m:
                 raise ValueError("sparse_linear params['m'] must equal beta_star.m")
-            if float(p.get("sigma", -1.0)) < 0:
+            if not float(p.get("sigma", -1.0)) >= 0:
                 raise ValueError("sparse_linear needs params['sigma'] >= 0")
         else:
             if int(p.get("m", -1)) < 0:
                 raise ValueError("null needs params['m'] >= 0")
-            if float(p.get("sigma", -1.0)) < 0:
+            if not float(p.get("sigma", -1.0)) >= 0:
                 raise ValueError("null needs params['sigma'] >= 0")
 
 

@@ -89,7 +89,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
 
@@ -114,7 +114,7 @@ class SolveReport:
 
 def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0), elementwise (a float64 scalar for a scalar x)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
@@ -124,7 +124,7 @@ def project_l1(v, b: float) -> np.ndarray:
 
     Sort-based threshold search; interior points are returned unchanged.
     """
-    if b < 0:
+    if not b >= 0:
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=float)
     if b == 0:
@@ -145,7 +145,7 @@ def project_l1(v, b: float) -> np.ndarray:
 
 def project_l2(v, delta: float) -> np.ndarray:
     """Euclidean projection onto the l2 ball of radius delta (radial rescale)."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=float)
     norm = float(np.sqrt(v @ v))
@@ -166,11 +166,15 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
     the run stops at the first iterate where it is at most `tol`. Without one
     only the fallback rules apply and the report's residual is inf.
     Candidate steps with nonfinite objective are rejected by the line
-    search, so exponential-loss overflow only shortens the step. Returns the
+    search, so exponential-loss overflow only shortens the step. A `trace`
+    list gets the objective of every accepted iterate, and the starting
+    objective only on a cold start (`beta` None): a warm start continues an
+    earlier pass, whose last objective the trace already holds. Returns the
     last iterate, its report and the last step length.
     """
     n, m = x.shape
-    if beta is None:
+    cold = beta is None
+    if cold:
         beta = np.zeros(m)
         margins = np.zeros(n)
     else:
@@ -178,7 +182,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
     values, d_margin = loss_terms(loss, y, margins)
     obj = float(values.mean()) + penalty(beta)
     grad = x.T @ d_margin / n
-    if trace is not None:
+    if trace is not None and cold:
         trace.append(obj)
     rejections = 0
     iterations = 0
@@ -248,13 +252,10 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
     A column outside the set violates optimality when its |gradient| exceeds
     `threshold(beta, grad)`. Without a threshold, for the absolute loss
     (whose subgradient descent never certifies, so no pass would end with a
-    set worth growing), or for designs of at most `_WS_SMALL` columns, this
-    is one pass on all of x.
+    set worth growing), or for designs of at most `_WS_SMALL` columns, the
+    first pass runs on all of x, and a pass on all of x is always the last.
     """
     n, m = x.shape
-    if threshold is None or loss.kind == "absolute" or m <= _WS_SMALL:
-        return _descend(x, y, loss, penalty, prox, cfg, residual, trace)[:2]
-
     # One gather buffer, with room for twice the set, replaced only when a
     # set outgrows it. Allocating room for the largest set up front costs
     # peak memory: once freed, a block that size raises glibc's mmap
@@ -269,25 +270,19 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
         return np.take(x, cols, axis=1, mode="clip",
                        out=flat[:n * cols.size].reshape(n, cols.size))
 
-    beta = np.zeros(m)
-    grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
-    eta = _STEP_INIT
-    res = residual(beta, grad, eta)
-    cols = _largest(np.abs(grad), _WS_FIRST)
-    block = gather(cols)
-    tol = max(CERTIFICATE_TOL, _WS_INNER * res)
+    start, cols, block = None, None, x  # a cold first pass on all of x
+    eta, tol = _STEP_INIT, CERTIFICATE_TOL
+    if threshold is not None and loss.kind != "absolute" and m > _WS_SMALL:
+        grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
+        cols = _largest(np.abs(grad), _WS_FIRST)
+        block = gather(cols)
+        tol = max(tol, _WS_INNER * residual(np.zeros(m), grad, eta))
     iterations = rejections = 0
-    steps = None if trace is None else []
-    skip = 0  # a warm-started pass repeats the previous pass's last objective
     while True:
         sub, report, eta = _descend(
             block, y, loss, penalty, prox,
-            replace(cfg, max_iter=cfg.max_iter - iterations), residual, steps,
-            beta if cols is None else beta[cols], eta, tol)
-        if trace is not None:
-            trace.extend(steps[skip:])
-            steps.clear()
-            skip = 1
+            replace(cfg, max_iter=cfg.max_iter - iterations), residual, trace,
+            start, eta, tol)
         iterations += report.iterations
         rejections += report.step_rejections
         if cols is None:
@@ -317,6 +312,7 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
             block = gather(cols)
             if tol > CERTIFICATE_TOL:  # once exact, passes stay exact
                 tol = max(CERTIFICATE_TOL, _WS_INNER * res)
+        start = beta if cols is None else beta[cols]
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
@@ -332,8 +328,8 @@ def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> fl
 
 def kkt_residual(d: Dataset, loss: LossSpec, lam: float, beta: Coefficients) -> float:
     """Stationarity residual of the l1-penalized objective at beta."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < np.inf:  # NaN fails too; inf * 0 would be NaN
+        raise ValueError("lambda must be nonnegative and finite")
     return _stationarity_residual(empirical_gradient(d, beta, loss), lam, beta.values)
 
 
@@ -344,8 +340,8 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
     Non-convergence is not an exception: the best (last accepted, hence
     lowest-objective) iterate is returned with converged=False.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < np.inf:  # NaN fails too; inf * 0 would be NaN
+        raise ValueError("lambda must be nonnegative and finite")
     beta, report = _working_set(
         d.x, d.y, loss,
         penalty=lambda b: lam * float(np.abs(b).sum()),
@@ -379,7 +375,7 @@ def _smallest_support_gradient(beta, grad):
 def solve_constrained(d: Dataset, loss: LossSpec, b: float,
                       cfg: SolveConfig = SolveConfig(), trace=None):
     """Minimize empirical risk over the l1 ball ||beta||_1 <= b (projected gradient)."""
-    if b < 0:
+    if not b >= 0:
         raise ValueError("l1 budget must be nonnegative")
     return _solve_projected(d, loss, lambda v: project_l1(v, b), cfg, trace,
                             threshold=_smallest_support_gradient)
@@ -388,6 +384,6 @@ def solve_constrained(d: Dataset, loss: LossSpec, b: float,
 def solve_ridge_constrained(d: Dataset, loss: LossSpec, delta: float,
                             cfg: SolveConfig = SolveConfig(), trace=None):
     """Minimize empirical risk over the l2 ball ||beta||_2 <= delta (projected gradient)."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("l2 radius must be nonnegative")
     return _solve_projected(d, loss, lambda v: project_l2(v, delta), cfg, trace)

@@ -129,6 +129,26 @@ def test_solve_flag_and_file_errors(linear_csv, tmp_path, capsys):
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--data", "{data}", "--loss", "exp", "--lambda", "nan"],
+    ["solve", "--data", "{data}", "--loss", "exp", "--lambda", "inf"],
+    ["solve", "--data", "{data}", "--penalty", "l1ball", "--budget", "nan"],
+    ["sweep", "--n", "40", "--big-m", "25", "--seed", "1", "--lambdas", "nan"],
+    ["ridge-demo", "--seed", "1", "--delta", "nan"],
+    ["ridge-demo", "--seed", "1", "--budgets", "0,nan"],
+    ["persist", "--ns", "20", "--seed", "1", "--sigma", "nan"],
+    ["simgen", "--scenario", "null", "--n", "10", "--m", "3", "--seed", "1",
+     "--sigma", "nan"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_nan_parameters_exit_1_and_write_nothing(argv, linear_csv, tmp_path,
+                                                 capsys):
+    before = sorted(tmp_path.iterdir())
+    argv = [str(linear_csv) if a == "{data}" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_sweep_cli_round_trip(tmp_path, capsys):
     args = ["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.05:0.05:0.1",
             "--reps", "2", "--test-n", "30", "--threads", "2",
@@ -142,7 +162,7 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     assert [r.lam for r in rows] == [0.05, 0.1]
     assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1:0:0.2",
                  "--seed", "5", "--out", str(tmp_path / "s3.csv")]) == 2
-    for flags in (["--max-iter", "0"], ["--tol", "-1"]):
+    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--threads", "0"]):
         assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1",
                      "--reps", "1", *flags, "--seed", "5",
                      "--out", str(tmp_path / "s4.csv")]) == 2
@@ -225,9 +245,16 @@ def test_deviation_cli_closed_form_and_oracle_data(linear_csv, tmp_path, capsys)
     assert record["closed_form"] is True
     assert record["sup_deviation"] >= 0.0
 
-    # no closed form away from squared loss: demand a reference sample
+    # no closed form away from squared loss or for section4: demand a
+    # reference sample
     assert main(["deviation", "--data", str(linear_csv), "--loss", "exp",
                  "--probes", "5", "--seed", "1"]) == 2
+    section4 = tmp_path / "section4.csv"
+    assert main(["simgen", "--scenario", "section4", "--n", "20",
+                 "--big-m", "25", "--seed", "1", "--out", str(section4)]) == 0
+    assert main(["deviation", "--data", str(section4), "--probes", "5",
+                 "--seed", "1"]) == 2
+    assert "no closed form" in capsys.readouterr().err
     ref = tmp_path / "ref.csv"
     write_dataset(gen_null(200, 6, 1.0, seed=2), ref)
     assert main(["deviation", "--data", str(linear_csv), "--loss", "exp",

@@ -243,15 +243,19 @@ def test_scenario_spec_validation():
         ("section4", 0, {}),
         ("section4", 10, {"big_m": 24}),
         ("section4", 10, {"variance_convention": "stdev"}),
+        ("section4", 10, {"big_m": 25, "variance_convention": "stdev"}),
         ("sparse_linear", 10, {"beta_star": [1.0, 2.0]}),
         ("sparse_linear", 10, {"beta_star": ok, "sigma": -1.0}),
         ("sparse_linear", 10, {"m": 3, "beta_star": ok, "sigma": 1.0}),
         ("null", 10, {"m": -1}),
         ("null", 10, {"sigma": -0.5}),
+        ("null", 10, {"m": 3, "sigma": -0.5}),
     ]
     for kind, n, params in bad:
         with pytest.raises((ValueError, TypeError)):
             ScenarioSpec(kind, n, params)
+    with pytest.raises(ValueError, match="sparse_linear"):
+        gen_sparse_linear(ScenarioSpec("null", 10, {"m": 3, "sigma": 1.0}), 0)
 
 
 def test_generate_dispatch_matches_direct_calls():

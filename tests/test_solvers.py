@@ -468,3 +468,56 @@ def test_the_trace_is_monotone_across_passes(passes):
     assert len(trace) == report.iterations + 1
     assert trace[-1] == report.objective
     assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_a_step_that_does_not_move_stops_the_run():
+    # the absolute-loss subgradient at beta = 0 is (-1 + 1) / 2 = 0
+    x, y = np.array([[1.0], [1.0]]), np.array([1.0, -1.0])
+    beta, report, _ = _descend(x, y, ABSOLUTE, penalty=lambda b: 0.0,
+                               prox=lambda v, _eta: v, cfg=SolveConfig())
+    assert report.reason == "zero_step" and not report.converged
+    assert report.iterations == 1 and report.step_rejections == 0
+    assert report.kkt_residual == np.inf  # no certificate was given
+    np.testing.assert_array_equal(beta, [0.0])
+
+
+def test_a_line_search_that_finds_no_step_stops_the_run(hadamard):
+    # every point off the origin has infinite objective, so each trial step
+    # is rejected until the step length falls below _STEP_MIN
+    beta, report, _ = _descend(
+        hadamard.x, hadamard.y, SQUARED,
+        penalty=lambda b: np.inf if b.any() else 0.0,
+        prox=lambda v, _eta: v, cfg=SolveConfig())
+    assert report.reason == "line_search_exhausted" and not report.converged
+    assert report.iterations == 1
+    assert report.step_rejections == 60  # 2**-60 < _STEP_MIN = 1e-18
+    np.testing.assert_array_equal(beta, np.zeros(3))
+
+
+def test_a_set_that_reaches_the_share_cap_switches_to_the_full_design(
+        passes, monkeypatch):
+    # a cap of 110 of 1005 columns: the first growth from 100 crosses it
+    monkeypatch.setattr(solvers, "_WS_SHARE", 0.11)
+    d = gen_section4(200, 1000, 3)
+    trace = []
+    beta, report = solve_penalized(d, EXPONENTIAL, 0.05, trace=trace)
+    assert [cols for cols, _ in passes] == [_WS_FIRST, d.m]
+    assert report.reason == "certified"
+    assert kkt_residual(d, EXPONENTIAL, 0.05, beta) <= CERTIFICATE_TOL
+    assert report.iterations == sum(its for _, its in passes)
+    assert len(trace) == report.iterations + 1
+    assert trace[-1] == report.objective
+    assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_only_a_cold_start_records_its_starting_objective(hadamard):
+    # a warm start continues an earlier pass, whose last objective the
+    # trace already holds
+    args = (hadamard.x, hadamard.y, SQUARED, lambda b: 0.0,
+            lambda v, _eta: v, SolveConfig())
+    trace = []
+    beta, cold, _ = _descend(*args, trace=trace)
+    assert len(trace) == cold.iterations + 1 and trace[-1] == cold.objective
+    _, warm, _ = _descend(*args, trace=trace, beta=beta + 0.5)
+    assert len(trace) == cold.iterations + warm.iterations + 1
+    assert trace[-1] == warm.objective
