@@ -358,6 +358,8 @@ def cmd_ridge_demo(args) -> int:
 
 
 def cmd_deviation(args) -> int:
+    if not 0 <= args.radius < np.inf:  # NaN fails too
+        raise ArgError("--radius must be nonnegative and finite")
     d = read_dataset(args.data)
     loss = LOSS_BY_FLAG[args.loss]
     if args.oracle_data is not None:

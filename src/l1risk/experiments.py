@@ -379,6 +379,8 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
         raise ValueError("probe_count must be positive")
     if not 1 <= k <= train.m:
         raise ValueError("need 1 <= k <= m")
+    if not 0 <= radius < np.inf:  # NaN fails too
+        raise ValueError("radius must be nonnegative and finite")
     reference = eval_oracle if callable(eval_oracle) else \
         (lambda b: empirical_risk(eval_oracle, b, loss))
     worst = 0.0

@@ -4,6 +4,26 @@ Both searches are deliberately exhaustive: this module is the small-instance
 ground truth against which the l1 route is compared, and simplicity is the
 guarantee. A budget on the number of evaluated candidates rejects instances
 that are too large instead of silently sampling.
+
+Subset fits: squared loss solves each subset by least squares, and absolute
+loss runs the solvers' descent on each subset. Exponential-loss subsets are
+fit together by damped Newton (Boyd & Vandenberghe, Convex Optimization,
+9.5). The signed columns y * x_S of a chunk of subsets are stacked into one
+(subsets, k, n) array of at most `_CHUNK_BYTES`, and each step forms every
+gradient and k x k Hessian at once. Each Newton system is solved through an
+eigendecomposition whose tiny eigenvalues count as zero, so a singular
+Hessian (a zero or repeated column) gets the least-norm step instead of an
+error. Each subset backtracks its own step from 1 until Armijo's condition
+holds, with the solvers' constants; a nonfinite trial risk is rejected. A
+subset stops once it holds the certificate its descent fit used, max
+|gradient| <= CERTIFICATE_TOL, and half its squared Newton decrement (the
+decrease a further step predicts) is at most `_DECREMENT_TOL`: Newton
+reaches the certificate in long steps, and the certificate alone left fits
+up to 2e-9 above their minimum. A subset also stops on a line search that
+finds no acceptable step, or after `_SUBSET_CFG.max_iter` steps. A subset
+whose margins become strictly separated has no minimizer: it leaves the
+batch and is refit alone by the descent, which runs it to the stall
+threshold and flags it unbounded.
 """
 
 from __future__ import annotations
@@ -14,12 +34,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from l1risk.risk import Coefficients, Dataset, LossSpec, loss_terms
-from l1risk.solvers import SolveConfig, _descend
+from l1risk.risk import EXPONENTIAL, Coefficients, Dataset, LossSpec, \
+    loss_terms
+from l1risk.solvers import CERTIFICATE_TOL, SolveConfig, _ARMIJO, \
+    _BACKTRACK, _MAX_BACKTRACKS, _descend
 
 DEFAULT_BUDGET = 1_000_000
 
 _SUBSET_CFG = SolveConfig(max_iter=2000, tol=1e-12)
+# Bytes of stacked signed columns in one batch of exponential subset fits.
+_CHUNK_BYTES = 2 * 1024 * 1024
+# A certified Newton fit stops once its predicted remaining decrease, half
+# the squared Newton decrement, is at most this.
+_DECREMENT_TOL = 1e-13
 
 
 class BudgetExceededError(ValueError):
@@ -73,6 +100,100 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
     return beta, report.objective, unbounded
 
 
+def _newton_directions(hess, grad):
+    """-pinv(H) @ g for a stack of symmetric positive semidefinite H.
+
+    Eigenvalues at most k * eps times the largest count as zero, so a
+    singular H gets the least-norm solution.
+    """
+    w, vecs = np.linalg.eigh(hess)
+    cutoff = w[:, -1:] * (hess.shape[-1] * np.finfo(float).eps)
+    inverse = np.divide(1.0, w, out=np.zeros_like(w), where=w > cutoff)
+    coords = np.einsum("bjl,bj->bl", vecs, grad) * inverse
+    return -np.einsum("bjl,bl->bj", vecs, coords)
+
+
+def _newton_exponential(z):
+    """Damped Newton fits of mean(exp(-z[b].T @ beta)) for every b (see the
+    module docstring).
+
+    z stacks the signed columns y * x_S as (subsets, k, n). In the signed
+    margins u = z.T @ beta the loss is exp(-u): `loss_terms` with label 1
+    gives its value and derivative, and its second derivative is the value.
+    Returns the coefficients, the risks and the mask of the subsets whose
+    margins became strictly separated (at their last iterate).
+    """
+    count, k, n = z.shape
+    beta = np.zeros((count, k))
+    risk = np.ones(count)
+    separated = np.zeros(count, dtype=bool)
+    # state of the subsets still being fit, in batch order
+    live = np.arange(count)
+    b = np.zeros((count, k))
+    u = np.zeros((count, n))
+    values, d_margin = loss_terms(EXPONENTIAL, 1.0, u)
+    obj = values.mean(axis=1)
+    stuck = np.zeros(count, dtype=bool)  # the last line search found no step
+    for steps in itertools.count():
+        grad = np.einsum("bjn,bn->bj", z, d_margin) / n
+        hess = np.einsum("bjn,bln->bjl", z * values[:, None, :], z) / n
+        direction = _newton_directions(hess, grad)
+        slope = np.einsum("bj,bj->b", grad, direction)  # -(Newton decrement)^2
+        sep = np.all(u > 0.0, axis=1)
+        certified = np.abs(grad).max(axis=1, initial=0.0) <= CERTIFICATE_TOL
+        stop = sep | stuck | (certified & (-0.5 * slope <= _DECREMENT_TOL))
+        if steps == _SUBSET_CFG.max_iter:
+            stop[:] = True
+        if stop.any():
+            beta[live[stop]] = b[stop]
+            risk[live[stop]] = obj[stop]
+            separated[live[stop]] = sep[stop]
+            if stop.all():
+                return beta, risk, separated
+            keep = ~stop
+            live, z, b, u, values, d_margin, obj, direction, slope = (
+                a[keep] for a in (live, z, b, u, values, d_margin, obj,
+                                  direction, slope))
+        shift = np.einsum("bjn,bj->bn", z, direction)
+        t = np.ones(live.size)
+        trying = np.arange(live.size)
+        for _ in range(_MAX_BACKTRACKS):
+            trial = u[trying] + t[trying, None] * shift[trying]
+            trial_values, trial_d_margin = loss_terms(EXPONENTIAL, 1.0, trial)
+            with np.errstate(over="ignore"):
+                trial_obj = trial_values.mean(axis=1)
+            ok = np.isfinite(trial_obj) & (
+                trial_obj <= obj[trying] + _ARMIJO * t[trying] * slope[trying])
+            hit = trying[ok]
+            b[hit] += t[hit, None] * direction[hit]
+            u[hit], values[hit], d_margin[hit], obj[hit] = (
+                trial[ok], trial_values[ok], trial_d_margin[ok], trial_obj[ok])
+            trying = trying[~ok]
+            if not trying.size:
+                break
+            t[trying] *= _BACKTRACK
+        stuck = np.zeros(live.size, dtype=bool)
+        stuck[trying] = True
+
+
+def _subset_fits(d: Dataset, k: int, loss: LossSpec):
+    """Fits of every size-k subset in lexicographic order, yielded in chunks
+    of (subsets, coefficients, risks, unbounded flags)."""
+    combos = itertools.combinations(range(d.m), k)
+    signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
+    size = max(1, _CHUNK_BYTES // (signed.itemsize * d.n * max(k, 1)))
+    while chunk := list(itertools.islice(combos, size)):
+        if loss.kind != "exponential":
+            yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)))
+            continue
+        beta, risk, separated = _newton_exponential(
+            signed[np.array(chunk, dtype=np.intp)])
+        unbounded = np.zeros(len(chunk), dtype=bool)
+        for i in np.flatnonzero(separated):
+            beta[i], risk[i], unbounded[i] = _fit_subset(d, chunk[i], loss)
+        yield chunk, beta, risk, unbounded
+
+
 def best_subset(d: Dataset, k: int, loss: LossSpec,
                 budget: int = DEFAULT_BUDGET) -> SubsetSolution:
     """Empirical risk minimizer over all coordinate subsets of size k.
@@ -87,10 +208,11 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
         raise BudgetExceededError(
             f"{count} subsets of size {k} exceed the budget of {budget}", count)
     best = None
-    for subset in itertools.combinations(range(d.m), k):
-        values, risk, unbounded = _fit_subset(d, subset, loss)
-        if best is None or risk < best.risk:
-            best = SubsetSolution(subset, _embed(d.m, subset, values), risk, unbounded)
+    for subsets, values, risks, unbounded in _subset_fits(d, k, loss):
+        i = int(np.argmin(risks))  # the first minimum within a chunk
+        if best is None or risks[i] < best.risk:
+            best = SubsetSolution(subsets[i], _embed(d.m, subsets[i], values[i]),
+                                  float(risks[i]), bool(unbounded[i]))
     return best
 
 

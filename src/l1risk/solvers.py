@@ -89,8 +89,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,8 @@ def test_solve_flag_and_file_errors(linear_csv, tmp_path, capsys):
     assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
                  "--frob", "--out", out]) == 2
     # solver settings SolveConfig rejects are flag errors too
-    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "0"]):
+    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "0"],
+                  ["--tol", "inf"]):
         assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
                      *flags, "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
@@ -261,6 +262,16 @@ def test_deviation_cli_closed_form_and_oracle_data(linear_csv, tmp_path, capsys)
                  "--probes", "5", "--oracle-data", str(ref),
                  "--seed", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
+def test_deviation_radius_must_be_finite_and_nonnegative(radius, linear_csv,
+                                                         tmp_path, capsys):
+    out = tmp_path / "dev.json"
+    assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
+                 "--radius", radius, "--seed", "1", "--out", str(out)]) == 2
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs():

@@ -1,13 +1,16 @@
 """Exhaustive subset and grid searches on hand-checkable instances."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from l1risk import oracle
 from l1risk.oracle import BudgetExceededError, best_subset, grid_best
 from l1risk.risk import EXPONENTIAL, SQUARED, Dataset, empirical_risk
-from l1risk.simgen import gen_null, gen_section4
+from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, generate, \
+    sparse_unit_vector
 
 
 def test_best_subset_recovers_an_exact_single_column_fit():
@@ -78,6 +81,127 @@ def test_exponential_best_subset_is_no_worse_than_the_grid():
         assert sol.risk <= grid.risk, seed
         assert sol.risk == pytest.approx(
             empirical_risk(d, sol.beta, EXPONENTIAL))
+
+
+def _reference_fits(d, k):
+    """Every size-k subset fit on its own by the descent, in lexicographic
+    order: (subset, risk, unbounded)."""
+    return [(subset, *oracle._fit_subset(d, subset, EXPONENTIAL)[1:])
+            for subset in itertools.combinations(range(d.m), k)]
+
+
+def _batched_fits(d, k):
+    return [(subset, float(risk), bool(flag))
+            for subsets, _, risks, flags in oracle._subset_fits(d, k, EXPONENTIAL)
+            for subset, risk, flag in zip(subsets, risks, flags)]
+
+
+EXPONENTIAL_SETS = {
+    **{f"section4 seed {s}": (lambda s=s: gen_section4(200, 25, s))
+       for s in (1, 2, 3)},
+    "sparse linear": lambda: generate(ScenarioSpec("sparse_linear", 80, {
+        "beta_star": sparse_unit_vector(8, 2), "sigma": 0.5}), 4),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("make", EXPONENTIAL_SETS.values(),
+                         ids=EXPONENTIAL_SETS.keys())
+def test_batched_exponential_fits_match_the_per_subset_descent(make, k):
+    d = make()
+    reference = _reference_fits(d, k)
+    batched = _batched_fits(d, k)
+    assert [r[0] for r in batched] == [r[0] for r in reference]
+    for (subset, risk, flag), (_, ref_risk, ref_flag) in zip(batched, reference):
+        assert abs(risk - ref_risk) <= 1e-9, subset
+        assert not flag and not ref_flag, subset
+    ref_best = min(reference, key=lambda r: r[1])  # the first minimum
+    sol = best_subset(d, k, EXPONENTIAL)
+    assert sol.subset == ref_best[0]
+    assert abs(sol.risk - ref_best[1]) <= 1e-9
+    assert sol.risk == pytest.approx(empirical_risk(d, sol.beta, EXPONENTIAL),
+                                     rel=1e-12, abs=0)
+    assert not sol.unbounded
+
+
+@pytest.mark.parametrize("chunk_bytes", [oracle._CHUNK_BYTES, 1])
+def test_exponential_ties_go_to_the_lexicographically_smallest_subset(
+        chunk_bytes, monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", chunk_bytes)
+    g = gen_section4(200, 25, 1)  # column 11 is its best single column
+    # columns 0 and 2 are the same column: their subsets tie exactly, within
+    # a chunk or across chunks, and the subset holding both has a singular
+    # Hessian
+    d = Dataset(g.x[:, [11, 3, 11]], g.y)
+    one = best_subset(d, 1, EXPONENTIAL)
+    assert one.subset == (0,)
+    assert one.risk == dict(r[:2] for r in _batched_fits(d, 1))[(2,)]
+    two = best_subset(d, 2, EXPONENTIAL)
+    assert two.subset == (0, 1)
+    fits = dict(r[:2] for r in _batched_fits(d, 2))
+    assert fits[(0, 1)] == fits[(1, 2)]
+    # the duplicated pair spans one column: its fit is that column's fit
+    assert fits[(0, 2)] == pytest.approx(one.risk, rel=1e-12)
+
+
+def test_zero_columns_and_the_empty_subset_fit_without_error():
+    g = gen_section4(200, 25, 1)
+    d = Dataset(np.column_stack([np.zeros(200), g.x[:, 11], g.x[:, 3]]), g.y)
+    single = dict(r[:2] for r in _batched_fits(d, 1))
+    assert single[(0,)] == 1.0  # a zero column cannot move the margins
+    assert best_subset(d, 1, EXPONENTIAL).subset == (1,)
+    pairs = dict(r[:2] for r in _batched_fits(d, 2))
+    assert pairs[(0, 1)] == pytest.approx(single[(1,)], rel=1e-12)
+    assert best_subset(d, 2, EXPONENTIAL).subset == (1, 2)
+    empty = best_subset(d, 0, EXPONENTIAL)
+    assert empty.subset == () and empty.risk == 1.0
+
+
+def test_collinear_columns_get_the_least_norm_fit():
+    # [a, 3a] has a Hessian that is singular up to rounding: the step must
+    # stay in its range, giving coefficients c * (1, 3) / 10 for the
+    # single-column fit c, not an arbitrary split along the null direction
+    g = gen_section4(200, 25, 1)
+    a = g.x[:, 11]
+    single = best_subset(Dataset(a[:, None], g.y), 1, EXPONENTIAL)
+    c = single.beta.values[0]
+    [(_, beta, risk, _)] = oracle._subset_fits(
+        Dataset(np.column_stack([a, 3.0 * a]), g.y), 2, EXPONENTIAL)
+    np.testing.assert_allclose(beta[0], [0.1 * c, 0.3 * c], rtol=1e-6)
+    assert risk[0] == pytest.approx(single.risk, rel=1e-12)
+
+
+def test_one_subset_chunks_give_the_same_solution(monkeypatch):
+    d = gen_section4(200, 25, 2)
+    whole, whole_fits = best_subset(d, 2, EXPONENTIAL), _batched_fits(d, 2)
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 1)
+    assert len(next(oracle._subset_fits(d, 2, EXPONENTIAL))[0]) == 1
+    assert _batched_fits(d, 2) == whole_fits
+    single = best_subset(d, 2, EXPONENTIAL)
+    assert single.subset == whole.subset
+    assert single.risk == whole.risk
+    assert single.unbounded == whole.unbounded
+    np.testing.assert_array_equal(single.beta.values, whole.beta.values)
+
+
+def test_separable_subsets_leave_the_batch_and_are_flagged():
+    rng = np.random.default_rng(7)
+    y = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
+    x = rng.standard_normal((40, 3))
+    x[:, 0] = y * (0.5 + rng.random(40))  # separates the labels on its own
+    d = Dataset(x, y)
+    for k in (1, 2):
+        reference = _reference_fits(d, k)
+        batched = _batched_fits(d, k)
+        flags = [r[2] for r in batched]
+        assert flags == [r[2] for r in reference]
+        assert flags == [0 in subset for subset, *_ in batched]
+        for (subset, risk, _), (_, ref_risk, _) in zip(batched, reference):
+            assert abs(risk - ref_risk) <= 1e-9, subset
+        sol = best_subset(d, k, EXPONENTIAL)
+        assert sol.unbounded and 0 in sol.subset
+    overlapping = best_subset(Dataset(x[:, 1:], y), 2, EXPONENTIAL)
+    assert not overlapping.unbounded
 
 
 def test_grid_best_hits_an_interior_cell_center():

@@ -9,7 +9,7 @@ import pytest
 
 from l1risk import experiments
 from l1risk.experiments import lambda_sweep, persistence_curve, \
-    ridge_vs_l1_demo
+    ridge_vs_l1_demo, sup_deviation
 from l1risk.maurey import deviation_bound, empirical_deviation_rate
 from l1risk.oracle import grid_best
 from l1risk.risk import EXPONENTIAL, SQUARED, Coefficients, Dataset
@@ -26,6 +26,7 @@ CFG = SolveConfig(max_iter=50)
 
 CASES = {
     "config tol": (lambda: SolveConfig(tol=NAN), "tol"),
+    "config tol inf": (lambda: SolveConfig(tol=INF), "tol"),
     "soft_threshold": (lambda: soft_threshold(1.0, NAN), "threshold"),
     "project_l1": (lambda: project_l1([1.0, 2.0], NAN), "radius"),
     "project_l2": (lambda: project_l2([1.0, 2.0], NAN), "radius"),
@@ -60,6 +61,9 @@ CASES = {
     "grid radius": (lambda: grid_best(D, 1, NAN, 0.5, SQUARED),
                     "cube_radius"),
     "grid step": (lambda: grid_best(D, 1, 1.0, NAN, SQUARED), "step"),
+    **{f"deviation radius {r}": (
+        lambda r=r: sup_deviation(D, 1, 1, r, SQUARED, D), "radius")
+       for r in (-1.0, NAN, INF)},
 }
 
 
