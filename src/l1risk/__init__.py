@@ -46,6 +46,7 @@ from l1risk.simgen import (
     gen_sparse_linear,
     generate,
     population_risk,
+    sample_risk,
     sparse_unit_vector,
 )
 from l1risk.experiments import (
@@ -95,6 +96,7 @@ __all__ = [
     "project_l1",
     "project_l2",
     "ridge_vs_l1_demo",
+    "sample_risk",
     "soft_threshold",
     "solve_constrained",
     "solve_penalized",

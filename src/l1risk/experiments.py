@@ -30,7 +30,7 @@ from l1risk.risk import (
     group_l1,
 )
 from l1risk.simgen import ScenarioSpec, generate, population_risk, \
-    sparse_unit_vector
+    sample_risk, sparse_unit_vector
 from l1risk.solvers import SolveConfig, solve_constrained, solve_penalized, \
     solve_ridge_constrained
 
@@ -206,10 +206,13 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     """Average penalized-fit summaries over repetitions for each lambda.
 
     Each (lambda, repetition) cell draws a fresh training set from stream
-    [seed, lambda_index, rep, 0] and, unless share_test is set, a fresh test
-    set of size test_n from [seed, lambda_index, rep, 1]. With share_test a
-    single test set is drawn from [seed, 0, 0, 1] and reused everywhere.
-    progress, if given, is called as progress(done, total) after each cell.
+    [seed, lambda_index, rep, 0], fits it and, unless share_test is set,
+    scores the fit on a fresh test set of size test_n from
+    [seed, lambda_index, rep, 1]. That test set is scored as it is drawn
+    (`sample_risk`), so no test design is held in memory. With share_test a
+    single test set is drawn from [seed, 0, 0, 1], held for the whole sweep
+    and reused everywhere. progress, if given, is called as
+    progress(done, total) after each cell.
 
     threads worker threads run the cells and supply the parallelism, so
     while the cells run, OpenBLAS is held to one thread; its previous thread
@@ -233,14 +236,16 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     def sweep_cell(cell):
         li, rep = cell
         train = generate(scenario, [seed, li, rep, 0])
-        test = shared if shared is not None else generate(
-            test_spec, [seed, li, rep, 1])
         beta, report = solve_penalized(train, loss, lambdas[li], cfg)
+        if shared is None:
+            v_real = sample_risk(test_spec, [seed, li, rep, 1], beta, loss)
+        else:
+            v_real = empirical_risk(shared, beta, loss)
         rel = train.meta["relevant_range"]  # inclusive 1-based ranges
         prox = train.meta["proxy_range"]
         return (
             empirical_risk(train, beta, loss),
-            empirical_risk(test, beta, loss),
+            v_real,
             group_l1(beta, range(rel[0], rel[1] + 1)),
             group_l1(beta, range(prox[0], prox[1] + 1)),
             beta.l1_norm,

@@ -22,8 +22,11 @@ reaches the certificate in long steps, and the certificate alone left fits
 up to 2e-9 above their minimum. A subset also stops on a line search that
 finds no acceptable step, or after `_SUBSET_CFG.max_iter` steps. A subset
 whose margins become strictly separated has no minimizer: it leaves the
-batch and is refit alone by the descent, which runs it to the stall
-threshold and flags it unbounded.
+batch and is flagged unbounded. Its infimum is 0, below the risk of every
+subset that cannot separate the labels (at least 1/n, since one margin is
+never positive), so `best_subset` takes the lexicographically first
+separated subset, stops enumerating at its chunk, and refits that one
+subset alone by the descent, which runs it to the stall threshold.
 """
 
 from __future__ import annotations
@@ -176,9 +179,14 @@ def _newton_exponential(z):
         stuck[trying] = True
 
 
-def _subset_fits(d: Dataset, k: int, loss: LossSpec):
+def _subset_fits(d: Dataset, k: int, loss: LossSpec, refit: bool = True):
     """Fits of every size-k subset in lexicographic order, yielded in chunks
-    of (subsets, coefficients, risks, unbounded flags)."""
+    of (subsets, coefficients, risks, unbounded flags).
+
+    With refit, each separated exponential subset is refit alone by the
+    descent; without, it keeps the Newton iterate at which its margins
+    separated, and only its flag is final.
+    """
     combos = itertools.combinations(range(d.m), k)
     signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
     size = max(1, _CHUNK_BYTES // (signed.itemsize * d.n * max(k, 1)))
@@ -188,17 +196,19 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec):
             continue
         beta, risk, separated = _newton_exponential(
             signed[np.array(chunk, dtype=np.intp)])
-        unbounded = np.zeros(len(chunk), dtype=bool)
-        for i in np.flatnonzero(separated):
-            beta[i], risk[i], unbounded[i] = _fit_subset(d, chunk[i], loss)
-        yield chunk, beta, risk, unbounded
+        if refit:
+            for i in np.flatnonzero(separated):
+                beta[i], risk[i], separated[i] = _fit_subset(d, chunk[i], loss)
+        yield chunk, beta, risk, separated
 
 
 def best_subset(d: Dataset, k: int, loss: LossSpec,
                 budget: int = DEFAULT_BUDGET) -> SubsetSolution:
     """Empirical risk minimizer over all coordinate subsets of size k.
 
-    Ties go to the lexicographically smallest subset. Raises
+    Ties go to the lexicographically smallest subset; for the exponential
+    loss every separated subset ties at infimum 0, so the first one wins and
+    is the only one refit (see the module docstring). Raises
     BudgetExceededError when C(m, k) exceeds `budget`.
     """
     if k < 0 or k > min(d.n, d.m):
@@ -208,7 +218,13 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
         raise BudgetExceededError(
             f"{count} subsets of size {k} exceed the budget of {budget}", count)
     best = None
-    for subsets, values, risks, unbounded in _subset_fits(d, k, loss):
+    for subsets, values, risks, unbounded in _subset_fits(d, k, loss,
+                                                          refit=False):
+        if any(unbounded):
+            first = subsets[int(np.argmax(unbounded))]
+            beta, risk, flag = _fit_subset(d, first, loss)
+            return SubsetSolution(first, _embed(d.m, first, beta),
+                                  float(risk), bool(flag))
         i = int(np.argmin(risks))  # the first minimum within a chunk
         if best is None or risks[i] < best.risk:
             best = SubsetSolution(subsets[i], _embed(d.m, subsets[i], values[i]),

@@ -8,10 +8,19 @@ from typing import Iterable
 import numpy as np
 
 LOSS_KINDS = ("squared", "exponential", "absolute")
+_FINITE_BLOCK = 65_536  # values per block of a finiteness check (64 KiB mask)
 
 
 class NonfiniteLossError(ArithmeticError):
     """A loss evaluation overflowed or otherwise produced a nonfinite value."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the contiguous array a is finite, checked in
+    flat blocks so that no a-sized mask is made."""
+    flat = a.reshape(-1)
+    return all(np.isfinite(flat[i:i + _FINITE_BLOCK]).all()
+               for i in range(0, flat.size, _FINITE_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class Dataset:
             raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
         if x.shape[0] < 1:
             raise ValueError("need at least one observation")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        if not _all_finite(x) or not _all_finite(y):
             raise ValueError("dataset entries must all be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -85,7 +94,7 @@ class Coefficients:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("coefficient values must be one-dimensional")
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("coefficient values must all be finite")
         object.__setattr__(self, "values", v)
 
@@ -152,13 +161,18 @@ def loss_terms(loss: LossSpec, y, margins):
     return np.abs(r), -np.sign(r)
 
 
-def empirical_risk(d: Dataset, beta: Coefficients, loss: LossSpec) -> float:
-    """Mean prediction loss of beta over the dataset."""
-    values, _ = loss_terms(loss, d.y, predict_margin(d, beta))
+def mean_loss(loss: LossSpec, y, margins) -> float:
+    """Mean loss over (y, margin) pairs; NonfiniteLossError if nonfinite."""
+    values, _ = loss_terms(loss, y, margins)
     total = float(values.mean())
     if not np.isfinite(total):
         raise NonfiniteLossError(f"{loss.kind} empirical risk is nonfinite")
     return total
+
+
+def empirical_risk(d: Dataset, beta: Coefficients, loss: LossSpec) -> float:
+    """Mean prediction loss of beta over the dataset."""
+    return mean_loss(loss, d.y, predict_margin(d, beta))
 
 
 def empirical_gradient(d: Dataset, beta: Coefficients, loss: LossSpec) -> np.ndarray:

@@ -12,16 +12,20 @@ null          y independent of the design (beta_star = 0).
 A `ScenarioSpec` describes a scenario once. `generate(spec, seed)` is the one
 draw path (`gen_section4`, `gen_sparse_linear` and `gen_null` build a spec and
 call it), `population_risk(spec, beta)` the one exact risk (sparse_linear and
-null), and `scenario_of(d)` rebuilds the spec from the meta a draw records, so
-a dataset's sidecar is enough to redraw it.
+null), `sample_risk(spec, seed, beta, loss)` the empirical risk of beta on the
+section4 dataset `generate(spec, seed)` would return, scored as it is drawn,
+and `scenario_of(d)` rebuilds the spec from the meta a draw records, so a
+dataset's sidecar is enough to redraw it.
 
 Determinism contract: a generator is a pure function of (parameters, seed).
 Seeds feed numpy's PCG64 via ``np.random.default_rng(seed)``; derived streams
 use list seeds ``[base, index, ...]``. The per-dataset draw order is fixed and
 the seed is recorded in ``Dataset.meta``. section4 draws the n x big_m main
-block row-major, then W (n values), then U (n x 5, row-major). The design is
-allocated once and filled in place, in row blocks that continue the stream
-exactly as one (n, big_m) draw would. sparse_linear and null draw the design
+block row-major, then W (n values), then U (n x 5, row-major). The main block
+is drawn in row blocks that continue the stream exactly as one (n, big_m)
+draw would; `_draw_section4` holds that order for both `generate`, which
+copies each block into a design allocated once, and `sample_risk`, which
+keeps only each block's margins. sparse_linear and null draw the design
 row-major, then the noise (none when sigma = 0).
 
 The dispersion notation "0.25" / "9" for the section4 noise terms is read as a
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from l1risk.risk import Coefficients, Dataset
+from l1risk.risk import Coefficients, Dataset, LossSpec, mean_loss
 
 SCENARIO_KINDS = ("section4", "sparse_linear", "null")
 VARIANCE_CONVENTIONS = ("var", "std")
@@ -110,6 +114,31 @@ def gen_null(n: int, m: int, sigma: float, seed) -> Dataset:
     return generate(ScenarioSpec("null", n, {"m": m, "sigma": sigma}), seed)
 
 
+def _draw_section4(rng, n: int, big_m: int, convention: str, take_block):
+    """Draw section4's stream from rng: the main block, then W, then U.
+
+    The n x big_m main block comes in row blocks of at most `_DRAW_BLOCK`
+    values through one reused buffer (out= needs a contiguous target), and
+    consecutive fills continue the stream exactly as one (n, big_m) draw
+    would. take_block(rows, block) sees each block, rows being its slice of
+    0..n, before the buffer is refilled. Returns V (the mean of the first 25
+    columns over 5), the labels y = sign(V + W) with sign(0) := +1, and U.
+    """
+    rows = max(1, _DRAW_BLOCK // big_m)
+    block = np.empty((min(rows, n), big_m))
+    v = np.empty(n)
+    for r0 in range(0, n, rows):
+        k = min(rows, n - r0)
+        rng.standard_normal(out=block[:k])
+        take_block(slice(r0, r0 + k), block[:k])
+        v[r0:r0 + k] = block[:k, :25].sum(axis=1)
+    v /= 5.0
+    w = rng.normal(0.0, 0.5 if convention == "var" else 0.25, size=n)
+    u = rng.normal(0.0, 3.0 if convention == "var" else 9.0, size=(n, 5))
+    y = np.where(v + w >= 0.0, 1.0, -1.0)
+    return v, y, u
+
+
 def generate(spec: ScenarioSpec, seed) -> Dataset:
     """Draw the dataset spec describes from stream seed; meta records both."""
     n, p = spec.n, spec.params
@@ -118,20 +147,12 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
     if spec.kind == "section4":
         big_m = int(p["big_m"])
         convention = p.get("variance_convention", "var")
-        # The main block goes into x through a small reused buffer: out=
-        # needs a contiguous target, and consecutive fills continue the
-        # stream exactly as one (n, big_m) draw would.
         x = np.empty((n, big_m + 5))
-        rows = max(1, _DRAW_BLOCK // big_m)
-        block = np.empty((min(rows, n), big_m))
-        for r0 in range(0, n, rows):
-            k = min(rows, n - r0)
-            rng.standard_normal(out=block[:k])
-            x[r0:r0 + k, :big_m] = block[:k]
-        w = rng.normal(0.0, 0.5 if convention == "var" else 0.25, size=n)
-        u = rng.normal(0.0, 3.0 if convention == "var" else 9.0, size=(n, 5))
-        v = x[:, :25].sum(axis=1) / 5.0
-        y = np.where(v + w >= 0.0, 1.0, -1.0)
+
+        def keep(rows, block):
+            x[rows, :big_m] = block
+
+        v, y, u = _draw_section4(rng, n, big_m, convention, keep)
         np.add(v[:, None], u, out=x[:, big_m:])
         params = {"n": n, "big_m": big_m, "variance_convention": convention}
         ranges = ([1, 25], [big_m + 1, big_m + 5])
@@ -175,7 +196,7 @@ def population_risk(spec: ScenarioSpec, beta: Coefficients) -> float:
 
     Holds for the sparse_linear and null (beta_star = 0) scenarios, whose
     design is i.i.d. standard normal (orthonormal in population); section4
-    has no closed form here.
+    has no closed form here (`sample_risk` estimates it from a draw).
     """
     if spec.kind == "section4":
         raise ValueError("no closed-form population risk for section4")
@@ -185,6 +206,35 @@ def population_risk(spec: ScenarioSpec, beta: Coefficients) -> float:
         raise ValueError(f"dimension mismatch: {beta.m} vs {m}")
     diff = beta.values if beta_star is None else beta.values - beta_star.values
     return float(spec.params["sigma"]) ** 2 + float(diff @ diff)
+
+
+def sample_risk(spec: ScenarioSpec, seed, beta: Coefficients,
+                loss: LossSpec) -> float:
+    """Empirical risk of beta on `generate(spec, seed)`, without building it.
+
+    section4 only. The main block is scored as it is drawn, so only n-length
+    vectors outlive a row block: the main-block margins, V, the labels and
+    the n x 5 noise U. The margins sum the main block and the proxies
+    separately, so the result may differ from `empirical_risk` on the
+    generated dataset in its last bits. Raises NonfiniteLossError on a
+    nonfinite risk, as `empirical_risk` does.
+    """
+    if spec.kind != "section4":
+        raise ValueError(f"sample_risk scores section4 draws, not {spec.kind}")
+    big_m = int(spec.params["big_m"])
+    if beta.m != big_m + 5:
+        raise ValueError(f"dimension mismatch: {beta.m} vs {big_m + 5}")
+    main, proxies = beta.values[:big_m], beta.values[big_m:]
+    margins = np.empty(spec.n)
+
+    def score(rows, block):
+        np.matmul(block, main, out=margins[rows])
+
+    v, y, u = _draw_section4(
+        np.random.default_rng(seed), spec.n, big_m,
+        spec.params.get("variance_convention", "var"), score)
+    margins += (v[:, None] + u) @ proxies
+    return mean_loss(loss, y, margins)
 
 
 def sparse_unit_vector(m: int, support_size: int) -> Coefficients:

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from l1risk.experiments import (
     ridge_vs_l1_demo,
     sup_deviation,
 )
-from l1risk.risk import SQUARED, empirical_risk
-from l1risk.simgen import ScenarioSpec, gen_null, population_risk
-from l1risk.solvers import SolveConfig
+from l1risk.risk import EXPONENTIAL, SQUARED, empirical_risk, group_l1
+from l1risk.simgen import ScenarioSpec, gen_null, generate, population_risk
+from l1risk.solvers import SolveConfig, solve_penalized
 
 # deliberately loose solver settings: these tests exercise bookkeeping, not
 # certificate-grade optimization
@@ -165,12 +166,44 @@ def test_lambda_sweep_shared_test_reuses_one_draw():
     assert shared[0].v_real != fresh[0].v_real
 
 
+def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):
+    """lambda_sweep's rows written out with every test set drawn as a
+    Dataset: (v_training, v_real, b1_norm, b2_norm, beta_l1) per lambda."""
+    rows = []
+    for li, lam in enumerate(lambdas):
+        cols = []
+        for rep in range(reps):
+            train = generate(scenario, [seed, li, rep, 0])
+            test = generate(replace(scenario, n=test_n), [seed, li, rep, 1])
+            beta, _ = solve_penalized(train, EXPONENTIAL, lam, cfg)
+            cols.append((empirical_risk(train, beta, EXPONENTIAL),
+                         empirical_risk(test, beta, EXPONENTIAL),
+                         group_l1(beta, range(1, 26)),
+                         group_l1(beta, range(26, 31)),
+                         beta.l1_norm))
+        rows.append(np.array(cols).mean(axis=0))
+    return rows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lambda_sweep_matches_materialised_test_sets(threads):
+    lambdas = [0.03, 0.1]
+    rows = lambda_sweep(SMALL, lambdas, reps=3, test_n=70, cfg=FAST, seed=8,
+                        threads=threads)
+    want = _materialised_sweep(SMALL, lambdas, 3, 70, FAST, 8)
+    for row, (v_training, v_real, b1, b2, l1) in zip(rows, want):
+        assert (row.v_training, row.b1_norm, row.b2_norm, row.beta_l1) == \
+            (v_training, b1, b2, l1)
+        assert row.v_real == pytest.approx(v_real, rel=1e-13, abs=0)
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("drew data before validating the arguments")
 
 
 def test_lambda_sweep_validation(monkeypatch):
     monkeypatch.setattr(experiments, "generate", _no_draws)
+    monkeypatch.setattr(experiments, "sample_risk", _no_draws)
     with pytest.raises(ValueError):
         lambda_sweep(SMALL, [], reps=1, test_n=10, cfg=FAST)
     with pytest.raises(ValueError):

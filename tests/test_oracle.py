@@ -204,6 +204,36 @@ def test_separable_subsets_leave_the_batch_and_are_flagged():
     assert not overlapping.unbounded
 
 
+def _separates(z):
+    """Whether the nonzero 2-d points z lie in an open half-plane through 0:
+    their angles, sorted around the circle, leave a gap wider than pi."""
+    angles = np.sort(np.arctan2(z[:, 1], z[:, 0]))
+    gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+    return bool(gaps.max() > np.pi)
+
+
+def test_only_the_first_separable_subset_is_refit(monkeypatch):
+    # four rows and 30 columns: most pairs separate the labels, and every
+    # separable pair ties at infimum 0
+    d = gen_section4(4, 25, 1)
+    signed = d.x * d.y[:, None]
+    first = next(s for s in itertools.combinations(range(d.m), 2)
+                 if _separates(signed[:, list(s)]))
+    fit = oracle._fit_subset
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return fit(*args)
+
+    monkeypatch.setattr(oracle, "_fit_subset", counted)
+    sol = best_subset(d, 2, EXPONENTIAL)
+    assert calls == [first]
+    assert sol.subset == first and sol.unbounded
+    assert sol.risk == pytest.approx(empirical_risk(d, sol.beta, EXPONENTIAL),
+                                     rel=1e-12)
+
+
 def test_grid_best_hits_an_interior_cell_center():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 3))

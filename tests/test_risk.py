@@ -1,11 +1,14 @@
 """Losses, risk evaluation and the container types."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from l1risk.risk import (
+    _FINITE_BLOCK,
     ABSOLUTE,
     EXPONENTIAL,
     SQUARED,
@@ -42,6 +45,40 @@ def test_dataset_validation():
 def test_dataset_accepts_zero_columns():
     d = Dataset(np.zeros((4, 0)), np.ones(4))
     assert d.n == 4 and d.m == 0
+
+
+# the first entry, both sides of the first block boundary and the last entry
+# of a design two blocks and a bit long
+_SHAPE = (3, _FINITE_BLOCK // 3 * 2 + 7)
+_BAD_AT = [0, _FINITE_BLOCK - 1, _FINITE_BLOCK, _SHAPE[0] * _SHAPE[1] - 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", _BAD_AT)
+def test_finiteness_checks_catch_every_block(bad, at):
+    x = np.ones(_SHAPE)
+    x.reshape(-1)[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(x, np.ones(_SHAPE[0]))
+    y = np.ones(x.size)
+    y[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(np.ones((x.size, 1)), y)
+    with pytest.raises(ValueError, match="finite"):
+        Coefficients(y)
+
+
+def test_finiteness_check_makes_no_design_sized_mask():
+    x = np.ones((1000, 1000))
+    y = np.ones(1000)
+    Dataset(x[:2], y[:2])  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        Dataset(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.02 * x.nbytes
 
 
 def test_coefficients_accessors():

@@ -2,12 +2,14 @@
 and redraws from the meta sidecar."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from l1risk.io import read_dataset, write_dataset
-from l1risk.risk import Coefficients, Dataset
+from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, Coefficients, \
+    Dataset, NonfiniteLossError, empirical_risk
 from l1risk.simgen import (
     _DRAW_BLOCK,
     ScenarioSpec,
@@ -16,6 +18,7 @@ from l1risk.simgen import (
     gen_sparse_linear,
     generate,
     population_risk,
+    sample_risk,
     scenario_of,
     sparse_unit_vector,
 )
@@ -86,14 +89,15 @@ def _section4_reference(n, big_m, seed, convention):
 
 
 _ROWS = _DRAW_BLOCK // 1000  # rows per block of a 1000-column main draw
-
-
-@pytest.mark.parametrize("convention", ["var", "std"])
-@pytest.mark.parametrize("n, big_m", [
+_SHAPES = [
     (1, 1000), (_ROWS - 1, 1000), (_ROWS, 1000), (_ROWS + 1, 1000),
     (3 * _ROWS + 7, 1000), (40, 25),
     (3, _DRAW_BLOCK + 4),  # one row is larger than a block
-])
+]
+
+
+@pytest.mark.parametrize("convention", ["var", "std"])
+@pytest.mark.parametrize("n, big_m", _SHAPES)
 def test_section4_matches_the_single_draw_reference(n, big_m, convention):
     d = gen_section4(n, big_m, [11, n], variance_convention=convention)
     x, y = _section4_reference(n, big_m, [11, n], convention)
@@ -111,6 +115,58 @@ def test_section4_draws_without_a_full_size_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * d.x.nbytes
+
+
+def _scored_betas(big_m):
+    """Unit-norm coefficients on the relevant columns 1..25, on the five
+    proxies, and on neither group (zero when big_m = 25)."""
+    relevant, proxies, neither = (np.zeros(big_m + 5) for _ in range(3))
+    relevant[:25] = np.linspace(-1.0, 1.0, 25)
+    proxies[big_m:] = [0.5, -0.3, 0.2, 0.4, -0.1]
+    neither[25:big_m] = np.resize([1.0, -1.0], big_m - 25)
+    return {name: Coefficients(v / max(1.0, np.linalg.norm(v)))
+            for name, v in (("relevant", relevant), ("proxies", proxies),
+                            ("neither", neither))}
+
+
+@pytest.mark.parametrize("loss", [SQUARED, EXPONENTIAL, ABSOLUTE],
+                         ids=lambda loss: loss.kind)
+@pytest.mark.parametrize("convention", ["var", "std"])
+@pytest.mark.parametrize("n, big_m", _SHAPES)
+def test_sample_risk_scores_the_dataset_generate_draws(n, big_m, convention,
+                                                       loss):
+    spec = ScenarioSpec("section4", n, {
+        "big_m": big_m, "variance_convention": convention})
+    d = generate(spec, [12, n])
+    for name, beta in _scored_betas(big_m).items():
+        want = empirical_risk(d, beta, loss)
+        got = sample_risk(spec, [12, n], beta, loss)
+        assert got == pytest.approx(want, rel=1e-13, abs=0), name
+
+
+def test_sample_risk_holds_no_design():
+    spec = ScenarioSpec("section4", 1000, {"big_m": 1000})
+    beta = _scored_betas(1000)["relevant"]
+    sample_risk(replace(spec, n=2), 0, beta, SQUARED)  # first-call allocations
+    tracemalloc.start()
+    try:
+        sample_risk(spec, 6, beta, SQUARED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * 1000 * 1005 * 8  # a tenth of the design's bytes
+
+
+def test_sample_risk_checks_its_arguments():
+    spec = ScenarioSpec("section4", 10, {"big_m": 25})
+    with pytest.raises(ValueError, match="section4"):
+        sample_risk(ScenarioSpec("null", 10, {"m": 3, "sigma": 1.0}), 0,
+                    Coefficients.zeros(3), SQUARED)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sample_risk(spec, 0, Coefficients.zeros(31), SQUARED)
+    huge = Coefficients(np.full(30, 1e3))
+    with pytest.raises(NonfiniteLossError):
+        sample_risk(spec, 0, huge, EXPONENTIAL)
 
 
 def test_sparse_linear_noiseless_is_exact():

@@ -75,6 +75,7 @@ def _no_draws(*args, **kwargs):
 def test_nan_and_infinite_lambda_fail_the_range_checks(call, match,
                                                        monkeypatch):
     monkeypatch.setattr(experiments, "generate", _no_draws)
+    monkeypatch.setattr(experiments, "sample_risk", _no_draws)
     with pytest.raises(ValueError, match=match):
         call()
 
