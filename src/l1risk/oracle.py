@@ -179,13 +179,12 @@ def _newton_exponential(z):
         stuck[trying] = True
 
 
-def _subset_fits(d: Dataset, k: int, loss: LossSpec, refit: bool = True):
+def _subset_fits(d: Dataset, k: int, loss: LossSpec):
     """Fits of every size-k subset in lexicographic order, yielded in chunks
     of (subsets, coefficients, risks, unbounded flags).
 
-    With refit, each separated exponential subset is refit alone by the
-    descent; without, it keeps the Newton iterate at which its margins
-    separated, and only its flag is final.
+    A separated exponential subset keeps the Newton iterate at which its
+    margins separated: only its flag is final.
     """
     combos = itertools.combinations(range(d.m), k)
     signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
@@ -194,12 +193,8 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec, refit: bool = True):
         if loss.kind != "exponential":
             yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)))
             continue
-        beta, risk, separated = _newton_exponential(
-            signed[np.array(chunk, dtype=np.intp)])
-        if refit:
-            for i in np.flatnonzero(separated):
-                beta[i], risk[i], separated[i] = _fit_subset(d, chunk[i], loss)
-        yield chunk, beta, risk, separated
+        yield (chunk, *_newton_exponential(
+            signed[np.array(chunk, dtype=np.intp)]))
 
 
 def best_subset(d: Dataset, k: int, loss: LossSpec,
@@ -218,8 +213,7 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
         raise BudgetExceededError(
             f"{count} subsets of size {k} exceed the budget of {budget}", count)
     best = None
-    for subsets, values, risks, unbounded in _subset_fits(d, k, loss,
-                                                          refit=False):
+    for subsets, values, risks, unbounded in _subset_fits(d, k, loss):
         if any(unbounded):
             first = subsets[int(np.argmax(unbounded))]
             beta, risk, flag = _fit_subset(d, first, loss)
