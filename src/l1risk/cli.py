@@ -165,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="held-out sample size")
     p.add_argument("--variance-convention", choices=list(VARIANCE_CONVENTIONS),
                    default="var")
-    p.add_argument("--share-test", action="store_true",
-                   help="reuse one held-out sample for every cell")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads (never changes the numbers); they "
                    "supply the parallelism, so BLAS runs single-threaded "
@@ -291,13 +289,11 @@ def cmd_sweep(args) -> int:
         "big_m": args.big_m,
         "variance_convention": args.variance_convention})
     rows = lambda_sweep(scenario, lambdas, args.reps, args.test_n,
-                        _solve_config(args), args.seed,
-                        share_test=args.share_test, threads=args.threads,
+                        _solve_config(args), args.seed, threads=args.threads,
                         progress=_progress("cell"))
     write_sweep(args.out, rows, {
         "scenario": scenario.kind, "n": scenario.n, **scenario.params,
-        "lambdas": lambdas, "reps": args.reps, "test_n": args.test_n,
-        "share_test": args.share_test})
+        "lambdas": lambdas, "reps": args.reps, "test_n": args.test_n})
     unconv = sum(r.n_unconverged for r in rows)
     print(f"wrote {args.out}: {len(rows)} lambdas x {args.reps} reps"
           + (f", {unconv} unconverged cells" if unconv else ""))

@@ -201,18 +201,16 @@ def _run_cells(cells, fn, threads=1, progress=None) -> list:
 
 def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
                  cfg: SolveConfig = SolveConfig(), seed: int = 0, *,
-                 loss: LossSpec = EXPONENTIAL, share_test: bool = False,
-                 threads: int = 1, progress=None) -> list[SweepRow]:
+                 loss: LossSpec = EXPONENTIAL, threads: int = 1,
+                 progress=None) -> list[SweepRow]:
     """Average penalized-fit summaries over repetitions for each lambda.
 
     Each (lambda, repetition) cell draws a fresh training set from stream
-    [seed, lambda_index, rep, 0], fits it and, unless share_test is set,
-    scores the fit on a fresh test set of size test_n from
-    [seed, lambda_index, rep, 1]. That test set is scored as it is drawn
-    (`sample_risk`), so no test design is held in memory. With share_test a
-    single test set is drawn from [seed, 0, 0, 1], held for the whole sweep
-    and reused everywhere. progress, if given, is called as
-    progress(done, total) after each cell.
+    [seed, lambda_index, rep, 0], fits it and scores the fit on a fresh test
+    set of size test_n from [seed, lambda_index, rep, 1]. That test set is
+    scored as it is drawn (`sample_risk`), so no test design is held in
+    memory. progress, if given, is called as progress(done, total) after
+    each cell.
 
     threads worker threads run the cells and supply the parallelism, so
     while the cells run, OpenBLAS is held to one thread; its previous thread
@@ -231,16 +229,12 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     if threads < 1:
         raise ValueError("threads must be positive")
     test_spec = replace(scenario, n=test_n)
-    shared = generate(test_spec, [seed, 0, 0, 1]) if share_test else None
 
     def sweep_cell(cell):
         li, rep = cell
         train = generate(scenario, [seed, li, rep, 0])
         beta, report = solve_penalized(train, loss, lambdas[li], cfg)
-        if shared is None:
-            v_real = sample_risk(test_spec, [seed, li, rep, 1], beta, loss)
-        else:
-            v_real = empirical_risk(shared, beta, loss)
+        v_real = sample_risk(test_spec, [seed, li, rep, 1], beta, loss)
         rel = train.meta["relevant_range"]  # inclusive 1-based ranges
         prox = train.meta["proxy_range"]
         return (

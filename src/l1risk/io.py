@@ -84,6 +84,8 @@ def read_dataset(path) -> Dataset:
     side = meta_path(path)
     if side.exists():
         meta = json.loads(side.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{side}: expected a JSON object")
     return Dataset(data[:, 1:], data[:, 0], meta)
 
 
@@ -118,7 +120,14 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
 def read_coefficients(path) -> tuple[Coefficients, dict]:
     """Read coefficient JSON back; returns (coefficients, full record)."""
     record = json.loads(Path(path).read_text())
-    return Coefficients.from_1based(int(record["m"]), record["nonzeros"]), record
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        beta = Coefficients.from_1based(int(record["m"]), record["nonzeros"])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: 'm' must be an integer and 'nonzeros' a "
+                         "list of [index, value] pairs") from e
+    return beta, record
 
 
 def _csv_text(header: list, rows: list) -> str:

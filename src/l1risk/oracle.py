@@ -187,8 +187,9 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec):
     margins separated: only its flag is final.
     """
     combos = itertools.combinations(range(d.m), k)
-    signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
-    size = max(1, _CHUNK_BYTES // (signed.itemsize * d.n * max(k, 1)))
+    size = max(1, _CHUNK_BYTES // (d.x.itemsize * d.n * max(k, 1)))
+    if loss.kind == "exponential":
+        signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
     while chunk := list(itertools.islice(combos, size)):
         if loss.kind != "exponential":
             yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)))

@@ -174,20 +174,28 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
 def scenario_of(d: Dataset) -> ScenarioSpec | None:
     """The spec that drew d, rebuilt from the meta its generator recorded;
     None when the meta names no scenario (no sidecar, or not a generator's).
-    With the seed in the meta, `generate` redraws d bit for bit."""
+    With the seed in the meta, `generate` redraws d bit for bit. Raises
+    ValueError when the meta names a scenario but its params are not the
+    object that scenario's generator records."""
     meta = d.meta or {}
     kind = meta.get("scenario")
     if kind not in SCENARIO_KINDS:
         return None
-    p = meta["params"]
-    if kind == "section4":
-        params = {"big_m": int(p["big_m"]),
-                  "variance_convention": p["variance_convention"]}
-    else:
-        params = {"m": int(p["m"]), "sigma": float(p["sigma"])}
-        if kind == "sparse_linear":
-            params["beta_star"] = Coefficients.from_1based(params["m"],
-                                                           p["beta_star"])
+    p = meta.get("params")
+    if not isinstance(p, dict):
+        raise ValueError(f"{kind} meta: 'params' must be a JSON object")
+    try:
+        if kind == "section4":
+            params = {"big_m": int(p["big_m"]),
+                      "variance_convention": p["variance_convention"]}
+        else:
+            params = {"m": int(p["m"]), "sigma": float(p["sigma"])}
+            if kind == "sparse_linear":
+                params["beta_star"] = Coefficients.from_1based(
+                    params["m"], p["beta_star"])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{kind} meta: a field of 'params' is missing or "
+                         f"mistyped ({e})") from e
     return ScenarioSpec(kind, d.n, params)
 
 

@@ -274,6 +274,46 @@ def test_deviation_radius_must_be_finite_and_nonnegative(radius, linear_csv,
     assert not out.exists()
 
 
+MALFORMED_COEFFICIENTS = {
+    "nonzeros not a list": {"m": 4, "nonzeros": 5},
+    "null value": {"m": 4, "nonzeros": [[1, None]]},
+    "null index": {"m": 4, "nonzeros": [[None, 1.0]]},
+    "null m": {"m": None, "nonzeros": []},
+    "record a list": [1, 2],
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_COEFFICIENTS.values(),
+                         ids=MALFORMED_COEFFICIENTS.keys())
+def test_sparsify_rejects_malformed_coefficients(record, tmp_path, capsys):
+    coefficients = tmp_path / "fit.json"
+    coefficients.write_text(json.dumps(record))
+    out = tmp_path / "sparse.json"
+    assert main(["sparsify", "--coefficients", str(coefficients), "--kappa",
+                 "2", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+MALFORMED_SIDECARS = {
+    "sidecar a list": [1, 2],
+    "params a list": {"scenario": "sparse_linear", "params": [1]},
+    "params missing": {"scenario": "null"},
+    "null m": {"scenario": "null", "params": {"m": None, "sigma": 1.0}},
+}
+
+
+@pytest.mark.parametrize("sidecar", MALFORMED_SIDECARS.values(),
+                         ids=MALFORMED_SIDECARS.keys())
+def test_deviation_rejects_a_malformed_sidecar(sidecar, linear_csv, capsys):
+    linear_csv.with_name("train.meta.json").write_text(json.dumps(sidecar))
+    assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
+                 "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "l1risk.cli", "--help"],
                           capture_output=True, text=True)

@@ -158,14 +158,6 @@ def test_run_cells_keeps_cell_order():
         assert seen == [(d, 7) for d in range(1, 8)]
 
 
-def test_lambda_sweep_shared_test_reuses_one_draw():
-    fresh = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2)
-    shared = lambda_sweep(SMALL, [0.1], reps=2, test_n=40, cfg=FAST, seed=2,
-                          share_test=True)
-    assert shared[0].v_training == fresh[0].v_training
-    assert shared[0].v_real != fresh[0].v_real
-
-
 def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):
     """lambda_sweep's rows written out with every test set drawn as a
     Dataset: (v_training, v_real, b1_norm, b2_norm, beta_l1) per lambda."""

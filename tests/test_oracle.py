@@ -2,13 +2,15 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from l1risk import oracle
 from l1risk.oracle import BudgetExceededError, best_subset, grid_best
-from l1risk.risk import EXPONENTIAL, SQUARED, Dataset, empirical_risk
+from l1risk.risk import EXPONENTIAL, SQUARED, Coefficients, Dataset, \
+    empirical_risk
 from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, generate, \
     sparse_unit_vector
 
@@ -205,6 +207,40 @@ def test_separable_subsets_leave_the_batch_and_are_flagged():
         assert sol.unbounded and 0 in sol.subset
     overlapping = best_subset(Dataset(x[:, 1:], y), 2, EXPONENTIAL)
     assert not overlapping.unbounded
+
+
+def _one_column_with_a_far_outlier():
+    """Signed margins of ninety-nine 1.0s and one -30.0: the full Newton
+    step from 0 overshoots into the outlier's exponential."""
+    return Dataset(np.append(np.ones(99), -30.0)[:, None], np.ones(100))
+
+
+def test_a_newton_step_that_raises_the_risk_is_backtracked():
+    d = _one_column_with_a_far_outlier()
+    z = d.x[:, 0] * d.y
+    full_step = z.mean() / (z * z).mean()  # -g / H at beta = 0
+    assert empirical_risk(d, Coefficients([full_step]), EXPONENTIAL) > 1.0
+    [(_, risk, flag)] = _batched_fits(d, 1)
+    [(_, ref_risk, ref_flag)] = _reference_fits(d, 1)
+    assert abs(risk - ref_risk) <= 1e-9
+    assert not flag and not ref_flag
+
+
+def test_the_step_cap_returns_the_last_iterate_unflagged(monkeypatch):
+    d = _one_column_with_a_far_outlier()
+    z = d.x[:, 0] * d.y
+    [(_, minimum, _)] = _batched_fits(d, 1)
+    monkeypatch.setattr(oracle, "_SUBSET_CFG",
+                        replace(oracle._SUBSET_CFG, max_iter=1))
+    [(_, beta, risk, flag)] = oracle._subset_fits(d, 1, EXPONENTIAL)
+    # one Newton step, halved once by the line search
+    assert beta[0, 0] == pytest.approx(0.5 * z.mean() / (z * z).mean(),
+                                       rel=1e-12)
+    assert not flag[0]
+    assert abs(risk[0] - empirical_risk(d, Coefficients(beta[0]),
+                                        EXPONENTIAL)) <= 1e-12
+    # one step stops short of the minimizer
+    assert risk[0] > minimum + 1e-6
 
 
 def _separates(z):
