@@ -173,7 +173,14 @@ def read_sweep(path) -> list:
     side = meta_path(path)
     if side.exists():
         record = json.loads(side.read_text())
-        unconverged = {float(l): int(c) for l, c in record.get("unconverged", [])}
+        if not isinstance(record, dict):
+            raise ValueError(f"{side}: expected a JSON object")
+        try:
+            unconverged = {float(l): int(c)
+                           for l, c in record.get("unconverged", [])}
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{side}: 'unconverged' must be a list of "
+                             "[lambda, count] pairs") from e
     return [SweepRow(lam=float(r[0]), v_training=float(r[1]), v_real=float(r[2]),
                      b1_norm=float(r[3]), b2_norm=float(r[4]), beta_l1=float(r[5]),
                      reps=int(r[6]), seed=int(r[7]),

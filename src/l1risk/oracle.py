@@ -21,12 +21,13 @@ decrease a further step predicts) is at most `_DECREMENT_TOL`: Newton
 reaches the certificate in long steps, and the certificate alone left fits
 up to 2e-9 above their minimum. A subset also stops on a line search that
 finds no acceptable step, or after `_SUBSET_CFG.max_iter` steps. A subset
-whose margins become strictly separated has no minimizer: it leaves the
-batch and is flagged unbounded. Its infimum is 0, below the risk of every
-subset that cannot separate the labels (at least 1/n, since one margin is
-never positive), so `best_subset` takes the lexicographically first
-separated subset, stops enumerating at its chunk, and refits that one
-subset alone by the descent, which runs it to the stall threshold.
+whose margins become strictly separated has no minimizer and is flagged
+unbounded at its last iterate. Newton keeps stepping it toward its infimum
+0 until its gradient and decrement pass the same test, or the line search
+fails. That infimum is below the risk of every subset that cannot separate
+the labels (at least 1/n, since one margin is never positive), so
+`best_subset` takes the lexicographically first separated subset with its
+batched fit and stops enumerating at its chunk.
 """
 
 from __future__ import annotations
@@ -62,7 +63,12 @@ class BudgetExceededError(ValueError):
 
 @dataclass(frozen=True)
 class SubsetSolution:
-    """Best coefficients found on one coordinate subset (zeros elsewhere)."""
+    """Best coefficients found on one coordinate subset (zeros elsewhere).
+
+    `unbounded` marks an exponential fit whose margins are strictly
+    separated: no minimizer exists, and `risk` is the risk of `beta`, near
+    the infimum 0.
+    """
 
     subset: tuple
     beta: Coefficients
@@ -77,30 +83,18 @@ def _embed(m: int, subset, values) -> Coefficients:
 
 
 def _fit_subset(d: Dataset, subset, loss: LossSpec):
-    """Minimize empirical risk over coefficients supported on `subset`."""
+    """Minimize squared or absolute empirical risk over coefficients
+    supported on `subset`: (coefficients, risk)."""
     xs = d.x[:, list(subset)]
     if loss.kind == "squared":
         values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
         residual = d.y - xs @ values
-        return values, float((residual * residual).mean()), False
-    def separated(beta):
-        # strictly separated margins (never all-zero ones): scaling the fit
-        # up keeps lowering the exponential risk, so no minimizer exists
-        return bool(np.all(d.y * (xs @ beta) > 0.0))
-
-    residual = None
-    if loss.kind == "exponential":
-        # max |gradient| certifies an unconstrained smooth fit; a separated
-        # fit gets none and runs to the stall threshold, i.e. the infimum
-        def residual(beta, grad, _eta):
-            return np.inf if separated(beta) else float(np.abs(grad).max())
+        return values, float((residual * residual).mean())
     # the absolute loss is nonsmooth: its (sub)gradient descent has no
     # certificate and runs to the stall threshold
     beta, report, _ = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
-                               prox=lambda v, _eta: v, cfg=_SUBSET_CFG,
-                               residual=residual)
-    unbounded = loss.kind == "exponential" and separated(beta)
-    return beta, report.objective, unbounded
+                               prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
+    return beta, report.objective
 
 
 def _newton_directions(hess, grad):
@@ -144,7 +138,7 @@ def _newton_exponential(z):
         slope = np.einsum("bj,bj->b", grad, direction)  # -(Newton decrement)^2
         sep = np.all(u > 0.0, axis=1)
         certified = np.abs(grad).max(axis=1, initial=0.0) <= CERTIFICATE_TOL
-        stop = sep | stuck | (certified & (-0.5 * slope <= _DECREMENT_TOL))
+        stop = stuck | (certified & (-0.5 * slope <= _DECREMENT_TOL))
         if steps == _SUBSET_CFG.max_iter:
             stop[:] = True
         if stop.any():
@@ -181,18 +175,16 @@ def _newton_exponential(z):
 
 def _subset_fits(d: Dataset, k: int, loss: LossSpec):
     """Fits of every size-k subset in lexicographic order, yielded in chunks
-    of (subsets, coefficients, risks, unbounded flags).
-
-    A separated exponential subset keeps the Newton iterate at which its
-    margins separated: only its flag is final.
-    """
+    of (subsets, coefficients, risks, unbounded flags); only exponential
+    subsets can be flagged."""
     combos = itertools.combinations(range(d.m), k)
     size = max(1, _CHUNK_BYTES // (d.x.itemsize * d.n * max(k, 1)))
     if loss.kind == "exponential":
         signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
     while chunk := list(itertools.islice(combos, size)):
         if loss.kind != "exponential":
-            yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)))
+            yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)),
+                   [False] * len(chunk))
             continue
         yield (chunk, *_newton_exponential(
             signed[np.array(chunk, dtype=np.intp)]))
@@ -203,9 +195,10 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
     """Empirical risk minimizer over all coordinate subsets of size k.
 
     Ties go to the lexicographically smallest subset; for the exponential
-    loss every separated subset ties at infimum 0, so the first one wins and
-    is the only one refit (see the module docstring). Raises
-    BudgetExceededError when C(m, k) exceeds `budget`.
+    loss every separated subset ties at infimum 0, so the first one wins
+    (see the module docstring). An unbounded solution's `risk` is the risk
+    of its returned beta. Raises BudgetExceededError when C(m, k) exceeds
+    `budget`.
     """
     if k < 0 or k > min(d.n, d.m):
         raise ValueError(f"k must lie in [0, min(n, m)] = [0, {min(d.n, d.m)}]")
@@ -216,14 +209,13 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
     best = None
     for subsets, values, risks, unbounded in _subset_fits(d, k, loss):
         if any(unbounded):
-            first = subsets[int(np.argmax(unbounded))]
-            beta, risk, flag = _fit_subset(d, first, loss)
-            return SubsetSolution(first, _embed(d.m, first, beta),
-                                  float(risk), bool(flag))
+            i = int(np.argmax(unbounded))
+            return SubsetSolution(subsets[i], _embed(d.m, subsets[i], values[i]),
+                                  float(risks[i]), True)
         i = int(np.argmin(risks))  # the first minimum within a chunk
         if best is None or risks[i] < best.risk:
             best = SubsetSolution(subsets[i], _embed(d.m, subsets[i], values[i]),
-                                  float(risks[i]), bool(unbounded[i]))
+                                  float(risks[i]))
     return best
 
 

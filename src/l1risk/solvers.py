@@ -14,7 +14,10 @@ accepted steps whose relative objective change is below `SolveConfig.tol`
 (a stall), on a step that does not move, on a line search that finds no
 acceptable step, or at `SolveConfig.max_iter`.
 `SolveReport.reason` names the rule that fired; a run is converged exactly
-when it is "certified".
+when it is "certified". An exponential-loss fit with lambda = 0, or with an
+infinite radius, whose returned beta strictly separates the data (every
+y * x @ beta > 0) reports "unbounded" whatever rule fired: scaling beta up
+keeps lowering the risk, so no minimizer exists.
 
 Smooth-loss l1 fits on wide designs solve on a growing working set of
 columns (Celer; Massias, Gramfort & Salmon 2018). The first set holds the
@@ -98,7 +101,8 @@ class SolveReport:
     """Convergence certificate for one solver run.
 
     `reason` is why the run stopped: "certified", "stalled", "max_iter",
-    "line_search_exhausted" or "zero_step" (see the module docstring).
+    "line_search_exhausted", "zero_step" or "unbounded" (see the module
+    docstring).
     """
 
     iterations: int
@@ -333,6 +337,15 @@ def kkt_residual(d: Dataset, loss: LossSpec, lam: float, beta: Coefficients) -> 
     return _stationarity_residual(empirical_gradient(d, beta, loss), lam, beta.values)
 
 
+def _flag_unbounded(d: Dataset, loss: LossSpec, beta: np.ndarray,
+                    report: SolveReport) -> SolveReport:
+    """The report of an unpenalized, unconstrained fit, with reason
+    "unbounded" when its exponential margins are strictly separated."""
+    if loss.kind == "exponential" and np.all(d.y * (d.x @ beta) > 0.0):
+        return replace(report, reason="unbounded")
+    return report
+
+
 def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
                     cfg: SolveConfig = SolveConfig(), trace=None):
     """Minimize empirical risk + lam * ||beta||_1 by proximal gradient.
@@ -350,10 +363,12 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
         residual=lambda b, g, _eta: _stationarity_residual(g, lam, b),
         threshold=lambda b, g: lam,
         trace=trace)
+    if lam == 0:
+        report = _flag_unbounded(d, loss, beta, report)
     return Coefficients(beta), report
 
 
-def _solve_projected(d, loss, project, cfg, trace, threshold=None):
+def _solve_projected(d, loss, radius, project, cfg, trace, threshold=None):
     def fixed_point_residual(beta, grad, eta):
         step = beta - project(beta - eta * grad)
         return float(np.sqrt(step @ step)) / eta
@@ -362,6 +377,8 @@ def _solve_projected(d, loss, project, cfg, trace, threshold=None):
         d.x, d.y, loss, penalty=lambda b: 0.0,
         prox=lambda v, _eta: project(v), cfg=cfg,
         residual=fixed_point_residual, threshold=threshold, trace=trace)
+    if radius == np.inf:
+        report = _flag_unbounded(d, loss, beta, report)
     return Coefficients(beta), report
 
 
@@ -377,8 +394,8 @@ def solve_constrained(d: Dataset, loss: LossSpec, b: float,
     """Minimize empirical risk over the l1 ball ||beta||_1 <= b (projected gradient)."""
     if not b >= 0:
         raise ValueError("l1 budget must be nonnegative")
-    return _solve_projected(d, loss, lambda v: project_l1(v, b), cfg, trace,
-                            threshold=_smallest_support_gradient)
+    return _solve_projected(d, loss, b, lambda v: project_l1(v, b), cfg,
+                            trace, threshold=_smallest_support_gradient)
 
 
 def solve_ridge_constrained(d: Dataset, loss: LossSpec, delta: float,
@@ -386,4 +403,5 @@ def solve_ridge_constrained(d: Dataset, loss: LossSpec, delta: float,
     """Minimize empirical risk over the l2 ball ||beta||_2 <= delta (projected gradient)."""
     if not delta >= 0:
         raise ValueError("l2 radius must be nonnegative")
-    return _solve_projected(d, loss, lambda v: project_l2(v, delta), cfg, trace)
+    return _solve_projected(d, loss, delta, lambda v: project_l2(v, delta),
+                            cfg, trace)

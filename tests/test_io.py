@@ -145,6 +145,18 @@ def test_read_sweep_rejects_a_foreign_header(tmp_path):
         read_sweep(p)
 
 
+@pytest.mark.parametrize("side", [[1, 2], {"unconverged": [[0.05]]},
+                                  {"unconverged": 5}],
+                         ids=["list", "short pair", "number"])
+def test_read_sweep_rejects_a_malformed_sidecar(tmp_path, side):
+    p = tmp_path / "sweep.csv"
+    write_sweep(p, [SweepRow(0.05, 0.5, 0.8, 1.5, 0.25, 2.0, reps=4, seed=7)],
+                {"n": 100})
+    meta_path(p).write_text(json.dumps(side))
+    with pytest.raises(ValueError, match="sweep.meta.json"):
+        read_sweep(p)
+
+
 def test_persistence_file(tmp_path):
     points = [PersistencePoint(100, 251, 0.5, 1.4142135623730951),
               PersistencePoint(400, 1320, 0.2, 1.4142135623730951)]

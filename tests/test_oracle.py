@@ -13,6 +13,7 @@ from l1risk.risk import EXPONENTIAL, SQUARED, Coefficients, Dataset, \
     empirical_risk
 from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, generate, \
     sparse_unit_vector
+from l1risk.solvers import solve_penalized
 
 
 def test_best_subset_recovers_an_exact_single_column_fit():
@@ -62,13 +63,15 @@ def test_best_subset_budget_and_k_validation():
 
 def test_separable_exponential_fit_is_flagged_unbounded():
     # perfectly separable margins: the exponential risk decays to zero and
-    # the per-subset fit runs off along a fixed direction, however small the
-    # column (a small column needs a large coefficient, not an early stop)
+    # the fit runs off along a fixed direction, however small the column (a
+    # small column needs a large coefficient, not an early stop)
     for scale in (1.0, 0.01, 0.001):
         d = Dataset(np.array([[scale], [-scale]]), np.array([1.0, -1.0]))
         sol = best_subset(d, 1, EXPONENTIAL)
         assert sol.unbounded
-        assert sol.risk < 1e-3, scale
+        assert sol.risk <= 1e-12, scale
+        assert sol.risk == pytest.approx(
+            empirical_risk(d, sol.beta, EXPONENTIAL), rel=1e-12)
 
 
 def test_exponential_best_subset_is_no_worse_than_the_grid():
@@ -86,10 +89,14 @@ def test_exponential_best_subset_is_no_worse_than_the_grid():
 
 
 def _reference_fits(d, k):
-    """Every size-k subset fit on its own by the descent, in lexicographic
-    order: (subset, risk, unbounded)."""
-    return [(subset, *oracle._fit_subset(d, subset, EXPONENTIAL)[1:])
-            for subset in itertools.combinations(range(d.m), k)]
+    """Every size-k subset fit on its own by the unpenalized solver, in
+    lexicographic order: (subset, risk, unbounded)."""
+    fits = []
+    for subset in itertools.combinations(range(d.m), k):
+        _, report = solve_penalized(Dataset(d.x[:, list(subset)], d.y),
+                                    EXPONENTIAL, 0.0)
+        fits.append((subset, report.objective, report.reason == "unbounded"))
+    return fits
 
 
 def _batched_fits(d, k):
@@ -186,7 +193,7 @@ def test_one_subset_chunks_give_the_same_solution(monkeypatch):
     np.testing.assert_array_equal(single.beta.values, whole.beta.values)
 
 
-def test_separable_subsets_leave_the_batch_and_are_flagged():
+def test_separable_subsets_run_toward_their_infimum_and_are_flagged():
     rng = np.random.default_rng(7)
     y = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
     x = rng.standard_normal((40, 3))
@@ -195,14 +202,14 @@ def test_separable_subsets_leave_the_batch_and_are_flagged():
     for k in (1, 2):
         reference = _reference_fits(d, k)
         batched = _batched_fits(d, k)
-        # Newton's flags are final; a separated subset's risk is only the
-        # iterate at which it left the batch, so only the others' risks are
-        # compared with the descent
+        # the solver certifies a separated fit at gradient 1e-5, far above
+        # its infimum 0, so only the others' risks are compared with it
         flags = [r[2] for r in batched]
         assert flags == [r[2] for r in reference]
         assert flags == [0 in subset for subset, *_ in batched]
         for (subset, risk, flag), (_, ref_risk, _) in zip(batched, reference):
-            assert flag or abs(risk - ref_risk) <= 1e-9, subset
+            assert risk <= 1e-12 if flag else abs(risk - ref_risk) <= 1e-9, \
+                subset
         sol = best_subset(d, k, EXPONENTIAL)
         assert sol.unbounded and 0 in sol.subset
     overlapping = best_subset(Dataset(x[:, 1:], y), 2, EXPONENTIAL)
@@ -251,26 +258,32 @@ def _separates(z):
     return bool(gaps.max() > np.pi)
 
 
-def test_only_the_first_separable_subset_is_refit(monkeypatch):
+def test_the_first_separable_subset_wins_with_its_batched_fit(monkeypatch):
     # four rows and 30 columns: most pairs separate the labels, and every
     # separable pair ties at infimum 0
     d = gen_section4(4, 25, 1)
     signed = d.x * d.y[:, None]
     first = next(s for s in itertools.combinations(range(d.m), 2)
                  if _separates(signed[:, list(s)]))
-    fit = oracle._fit_subset
-    calls = []
 
-    def counted(*args):
-        calls.append(args[1])
-        return fit(*args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("no descent may run for the exponential loss")
 
-    monkeypatch.setattr(oracle, "_fit_subset", counted)
+    monkeypatch.setattr(oracle, "_descend", refuse)
     sol = best_subset(d, 2, EXPONENTIAL)
-    assert calls == [first]
     assert sol.subset == first and sol.unbounded
+    assert sol.risk <= 1e-12
     assert sol.risk == pytest.approx(empirical_risk(d, sol.beta, EXPONENTIAL),
                                      rel=1e-12)
+
+
+def test_a_separated_subset_is_not_left_short_of_its_infimum():
+    # the descent refit of this winner stopped at its 2000-iteration cap
+    # with risk 2.6e-3
+    d = gen_section4(12, 25, 3)
+    sol = best_subset(d, 3, EXPONENTIAL)
+    assert sol.subset == (0, 4, 14) and sol.unbounded
+    assert sol.risk <= 1e-12
 
 
 def test_grid_best_hits_an_interior_cell_center():

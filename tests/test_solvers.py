@@ -494,6 +494,42 @@ def test_a_line_search_that_finds_no_step_stops_the_run(hadamard):
     np.testing.assert_array_equal(beta, np.zeros(3))
 
 
+@pytest.mark.parametrize("solve, arg", [(solve_penalized, 0.0),
+                                        (solve_constrained, np.inf),
+                                        (solve_ridge_constrained, np.inf)])
+def test_a_separating_unregularized_exponential_fit_is_unbounded(solve, arg):
+    # 20 rows and 105 columns: the fit separates the labels, and scaling it
+    # up keeps lowering the risk, so no minimizer exists to certify
+    d = gen_section4(20, 100, 1)
+    beta, report = solve(d, EXPONENTIAL, arg)
+    assert np.all(d.y * (d.x @ beta.values) > 0.0)
+    assert report.reason == "unbounded" and not report.converged
+    # the certificate alone would have passed
+    assert report.kkt_residual <= CERTIFICATE_TOL
+
+
+def test_a_separable_single_column_is_unbounded_at_any_scale():
+    for scale in (1.0, 0.01, 0.001):
+        d = Dataset(np.array([[scale], [-scale]]), np.array([1.0, -1.0]))
+        _, report = solve_penalized(d, EXPONENTIAL, 0.0)
+        assert report.reason == "unbounded" and not report.converged, scale
+
+
+def test_only_unregularized_exponential_separating_fits_are_unbounded():
+    # overlapping classes: the unpenalized minimizer exists and certifies
+    g = gen_section4(200, 25, 1)
+    _, report = solve_penalized(g, EXPONENTIAL, 0.0)
+    assert report.reason == "certified" and report.converged
+    # a penalty or a finite ball bounds the fit, and the squared loss has a
+    # minimizer whatever the margins
+    d = gen_section4(20, 100, 1)
+    for solve, arg, loss in ((solve_penalized, 0.01, EXPONENTIAL),
+                             (solve_constrained, 50.0, EXPONENTIAL),
+                             (solve_penalized, 0.0, SQUARED)):
+        _, report = solve(d, loss, arg)
+        assert report.reason != "unbounded", (solve.__name__, arg, loss)
+
+
 def test_a_set_that_reaches_the_share_cap_switches_to_the_full_design(
         passes, monkeypatch):
     # a cap of 110 of 1005 columns: the first growth from 100 crosses it
