@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,8 @@ def parse_lambda_grid(text: str) -> list:
         a, step, b = (float(p) for p in parts)
     except ValueError:
         raise ArgError(f"bad lambda grid {text!r}: expected a:step:b") from None
+    if not all(map(math.isfinite, (a, step, b))):
+        raise ArgError(f"bad lambda grid {text!r}: a, step and b must be finite")
     if step <= 0 or b < a:
         raise ArgError(f"bad lambda grid {text!r}: need step > 0 and b >= a")
     count = int(round((b - a) / step))

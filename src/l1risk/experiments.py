@@ -283,6 +283,8 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     if reps < 1:
         raise ValueError("reps must be positive")
     ns = list(ns)
+    if not ns:
+        raise ValueError("need at least one n")
     if any(n < 10 for n in ns):
         raise ValueError("each n must be at least 10")
     budget = math.sqrt(support_size)
@@ -327,8 +329,8 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
         raise ValueError("need at least one l1 budget")
     if not all(b >= 0 for b in budgets):
         raise ValueError("l1 budget must be nonnegative")
-    if not delta >= 0:
-        raise ValueError("l2 radius must be nonnegative")
+    if not delta > 0:
+        raise ValueError("l2 radius must be positive")
     if reps < 1:
         raise ValueError("reps must be positive")
     spec = ScenarioSpec("null", n, {"m": m, "sigma": sigma})

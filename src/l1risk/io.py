@@ -1,25 +1,29 @@
 """File formats: dataset CSV with JSON meta sidecar, coefficient JSON,
 and the experiment result tables.
 
-All floats are written with round-trip precision (shortest repr), so reading
-back reproduces the exact binary values. Every writer goes through a
-temp-file-and-rename so failures never leave partial output behind.
+Datasets and coefficients are read back; the result tables (sweep,
+persistence, ridge demo, subset search) are written only. All floats are
+written with round-trip precision (shortest repr), so reading back reproduces
+the exact binary values. Every writer goes through a temp-file-and-rename so
+failures never leave partial output behind.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from l1risk.experiments import RidgeComparison, SweepRow
-from l1risk.oracle import SubsetSolution
 from l1risk.risk import Coefficients, Dataset
-from l1risk.solvers import SolveReport
+
+if TYPE_CHECKING:
+    from l1risk.experiments import RidgeComparison
+    from l1risk.oracle import SubsetSolution
+    from l1risk.solvers import SolveReport
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -158,34 +162,6 @@ def write_sweep(path, rows: list, scenario_params: dict) -> None:
         "unconverged": [[r.lam, r.n_unconverged] for r in rows],
     }
     atomic_write_text(meta_path(path), _json_text(side))
-
-
-def read_sweep(path) -> list:
-    """Read a sweep CSV back into SweepRow records (sidecar counts included)."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_HEADER:
-            raise ValueError(f"{path}: unexpected sweep header")
-        raw = [row for row in reader if row]
-    unconverged = {}
-    side = meta_path(path)
-    if side.exists():
-        record = json.loads(side.read_text())
-        if not isinstance(record, dict):
-            raise ValueError(f"{side}: expected a JSON object")
-        try:
-            unconverged = {float(l): int(c)
-                           for l, c in record.get("unconverged", [])}
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{side}: 'unconverged' must be a list of "
-                             "[lambda, count] pairs") from e
-    return [SweepRow(lam=float(r[0]), v_training=float(r[1]), v_real=float(r[2]),
-                     b1_norm=float(r[3]), b2_norm=float(r[4]), beta_l1=float(r[5]),
-                     reps=int(r[6]), seed=int(r[7]),
-                     n_unconverged=unconverged.get(float(r[0]), 0))
-            for r in raw]
 
 
 PERSIST_HEADER = ["n", "m", "excess_risk", "budget", "reps", "seed"]

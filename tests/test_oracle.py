@@ -9,8 +9,8 @@ import pytest
 
 from l1risk import oracle
 from l1risk.oracle import BudgetExceededError, best_subset, grid_best
-from l1risk.risk import EXPONENTIAL, SQUARED, Coefficients, Dataset, \
-    empirical_risk
+from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, Coefficients, \
+    Dataset, empirical_risk
 from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, generate, \
     sparse_unit_vector
 from l1risk.solvers import solve_penalized
@@ -191,6 +191,22 @@ def test_one_subset_chunks_give_the_same_solution(monkeypatch):
     assert single.risk == whole.risk
     assert single.unbounded == whole.unbounded
     np.testing.assert_array_equal(single.beta.values, whole.beta.values)
+
+
+def test_absolute_loss_best_subset_is_the_first_argmin_over_chunks(monkeypatch):
+    d = gen_section4(20, 25, 1)
+    # 50 subsets per chunk: the 435 pairs span nine chunks
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 50 * d.x.itemsize * d.n * 2)
+    assert len(next(oracle._subset_fits(d, 2, ABSOLUTE))[0]) == 50
+    subsets = list(itertools.combinations(range(d.m), 2))
+    risks = [oracle._fit_subset(d, s, ABSOLUTE)[1] for s in subsets]
+    sol = best_subset(d, 2, ABSOLUTE)
+    assert sol.subset == subsets[int(np.argmin(risks))]
+    assert sol.risk == pytest.approx(empirical_risk(d, sol.beta, ABSOLUTE),
+                                     rel=0, abs=1e-12)
+    off = np.setdiff1d(np.arange(d.m), sol.subset)
+    assert not sol.beta.values[off].any()
+    assert not sol.unbounded
 
 
 def test_separable_subsets_run_toward_their_infimum_and_are_flagged():

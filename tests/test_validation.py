@@ -41,10 +41,13 @@ CASES = {
     "sweep inf": (lambda: lambda_sweep(SECTION4, [INF], 1, 10, CFG), "lambda"),
     "persist alpha": (lambda: persistence_curve([20], NAN, 2, 1, CFG),
                       "alpha"),
+    "persist empty": (lambda: persistence_curve([], 1.2, 2, 1, CFG), "one n"),
     "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, CFG,
                                                 sigma=NAN), "sigma"),
     "ridge delta": (lambda: ridge_vs_l1_demo(20, 10, 1.0, NAN, [0.5], 1, CFG),
                     "l2 radius"),
+    "ridge delta zero": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.0, [0.5], 1,
+                                                  CFG), "l2 radius"),
     "ridge budget": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.5, [0.0, NAN], 1,
                                               CFG), "l1 budget"),
     "ridge sigma": (lambda: ridge_vs_l1_demo(20, 10, NAN, 0.5, [0.5], 1, CFG),
