@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for argument errors (including semantic flag
-validation), 1 for runtime errors such as unreadable input. Solver
-non-convergence is reported in the output, not treated as an error.
+Exit codes: 0 on success, 2 for parse failures and the flag checks made
+here (`ArgError`), 1 for errors the library raises, out-of-range values and
+unreadable input among them. Solver non-convergence is reported in the
+output, not treated as an error.
 """
 from __future__ import annotations
 
@@ -79,7 +80,11 @@ def parse_lambda_grid(text: str) -> list:
     count = int(round((b - a) / step))
     if abs(a + count * step - b) > 1e-9:
         raise ArgError(f"bad lambda grid {text!r}: step does not divide b - a")
-    return [float(round(v, 10)) for v in np.linspace(a, b, count + 1)]
+    grid = [float(round(v, 10)) for v in np.linspace(a, b, count + 1)]
+    if any(lo >= hi for lo, hi in zip(grid, grid[1:])):
+        raise ArgError(f"bad lambda grid {text!r}: values repeat after "
+                       "rounding to 10 decimals")
+    return grid
 
 
 def _parse_floats(text: str, flag: str) -> list:
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
     except ArgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, ArithmeticError, KeyError) as e:
+    except (OSError, ValueError, ArithmeticError, KeyError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ emitted aggregates.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -68,41 +69,30 @@ def _openblas():
     return None
 
 
-class _OneBlasThread:
-    """Context that holds OpenBLAS to one thread while any block is inside.
+# OpenBLAS's thread count is process-wide. A pinned block holds this lock
+# from saving the count to restoring it, so a block in another thread waits.
+_BLAS_PIN_LOCK = threading.RLock()
 
-    OpenBLAS's thread count is process-wide, so one instance guards it: the
-    first block to enter saves the count, the last to exit restores it, so
-    nested and concurrent blocks never restore the pinned value. Without
-    numpy's OpenBLAS it does nothing.
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the block, then restore its count.
+
+    Sweep workers supply the parallelism; OpenBLAS threads would compete
+    with them for the same cores. Without numpy's OpenBLAS it does nothing.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = None
-
-    def __enter__(self):
-        api = _openblas()
-        if api is not None:
-            with self._lock:
-                if self._depth == 0:
-                    self._saved = api[0]()
-                    api[1](1)
-                self._depth += 1
-
-    def __exit__(self, *exc_info):
-        api = _openblas()
-        if api is not None:
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    api[1](self._saved)
-
-
-# Sweep workers supply the parallelism; OpenBLAS threads would compete with
-# them for the same cores.
-_ONE_BLAS_THREAD = _OneBlasThread()
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _BLAS_PIN_LOCK:
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 @dataclass(frozen=True)
@@ -214,8 +204,9 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
 
     threads worker threads run the cells and supply the parallelism, so
     while the cells run, OpenBLAS is held to one thread; its previous thread
-    count is restored on return, also when a cell or progress raises. Any
-    threads value gives the same rows, bit for bit.
+    count is restored on return, also when a cell or progress raises. With
+    numpy's OpenBLAS, two sweeps started at once in one process run one
+    after the other. Any threads value gives the same rows, bit for bit.
     """
     if scenario.kind != "section4":
         raise ValueError("lambda_sweep expects a section4 scenario")
@@ -247,7 +238,7 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         )
 
     cells = [(li, rep) for li in range(len(lambdas)) for rep in range(reps)]
-    with _ONE_BLAS_THREAD:
+    with _one_blas_thread():
         results = _run_cells(cells, sweep_cell, threads, progress)
 
     rows = []

@@ -21,7 +21,8 @@ def test_parse_lambda_grid():
     assert parse_lambda_grid("0.5:0.1:0.5") == [0.5]
     for bad in ("0.1:0.2", "a:b:c", "0.1:0:0.2", "0.2:0.1:0.1",
                 "0.01:0.02:0.18", "", "0:inf:1", "0:nan:1", "nan:0.1:1",
-                "0.1:0.1:inf", "-inf:1:0"):
+                "0.1:0.1:inf", "-inf:1:0", "0:1e-11:5e-11",
+                "1:1e-11:1.00000000005", "0:3e-11:1.2e-10"):
         with pytest.raises(ArgError):
             parse_lambda_grid(bad)
 
@@ -281,6 +282,8 @@ MALFORMED_COEFFICIENTS = {
     "null index": {"m": 4, "nonzeros": [[None, 1.0]]},
     "null m": {"m": None, "nonzeros": []},
     "record a list": [1, 2],
+    # 7 PiB of zeros: numpy refuses the request at once
+    "m too large to allocate": {"m": 10 ** 15, "nonzeros": []},
 }
 
 

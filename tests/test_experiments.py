@@ -108,7 +108,7 @@ def test_concurrent_one_blas_thread_blocks_restore_the_outer_count(
     def worker():
         start.wait(timeout=30)
         for _ in range(5000):
-            with experiments._ONE_BLAS_THREAD:
+            with experiments._one_blas_thread():
                 inside.append(get())
 
     interval = sys.getswitchinterval()
@@ -124,6 +124,60 @@ def test_concurrent_one_blas_thread_blocks_restore_the_outer_count(
     assert not any(w.is_alive() for w in workers)
     assert len(inside) == 20000 and set(inside) == {1}
     assert get() == 2
+
+
+def test_nested_one_blas_thread_blocks_restore_each_count(
+        openblas_at_two_threads):
+    get = openblas_at_two_threads
+    with experiments._one_blas_thread():
+        with experiments._one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_concurrent_sweeps_give_the_serial_rows_and_restore_the_count(
+        openblas_at_two_threads):
+    get = openblas_at_two_threads
+    sweeps = {"a": (SMALL, [0.05, 0.2], 1),
+              "b": (ScenarioSpec("section4", 80, {"big_m": 30}), [0.1], 2)}
+    serial = {name: lambda_sweep(spec, lams, reps=2, test_n=40, cfg=FAST,
+                                 seed=seed)
+              for name, (spec, lams, seed) in sweeps.items()}
+    assert get() == 2
+    start = threading.Barrier(2)
+    concurrent = {}
+
+    def run(name):
+        spec, lams, seed = sweeps[name]
+        start.wait(timeout=30)
+        concurrent[name] = lambda_sweep(spec, lams, reps=2, test_n=40,
+                                        cfg=FAST, seed=seed, threads=2)
+
+    workers = [threading.Thread(target=run, args=(name,)) for name in sweeps]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    assert concurrent == serial
+    assert get() == 2
+
+
+def test_one_blas_thread_without_openblas_does_nothing(tmp_path,
+                                                       monkeypatch):
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libbroken_openblas.so").write_bytes(b"not a shared library")
+    monkeypatch.setattr(experiments.np, "__file__",
+                        str(tmp_path / "numpy" / "__init__.py"))
+    experiments._openblas.cache_clear()
+    try:
+        assert experiments._openblas() is None
+        with experiments._one_blas_thread():
+            pass
+    finally:
+        experiments._openblas.cache_clear()
 
 
 def test_run_cells_stops_on_the_first_error():

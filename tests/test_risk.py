@@ -32,6 +32,8 @@ def test_loss_spec_rejects_unknown_kind():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros(3), np.zeros(3))  # x must be 2-d
+    with pytest.raises(ValueError, match="y must be one-dimensional"):
+        Dataset(np.zeros((3, 2)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
