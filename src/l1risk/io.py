@@ -6,9 +6,16 @@ persistence, ridge demo, subset search) are written only. All floats are
 written with round-trip precision (shortest repr), so reading back reproduces
 the exact binary values. Every writer goes through a temp-file-and-rename so
 failures never leave partial output behind.
+
+Dataset files are handled in bounded memory: rows are formatted and written
+one at a time, so a write holds one row's text rather than the whole file,
+and a read holds one design, the parsed table with x moved into place, not
+the table plus a copy of x. A file that cannot be parsed is a ValueError
+that names it.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -25,20 +32,31 @@ if TYPE_CHECKING:
     from l1risk.oracle import SubsetSolution
     from l1risk.solvers import SolveReport
 
+_SHIFT_BLOCK = 8192  # values per block when a read moves x into place (64 KiB)
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and atomic rename."""
+
+@contextlib.contextmanager
+def _atomic_writer(path):
+    """Yield a text file that replaces path, via a same-directory temp file
+    and an atomic rename, only if the block completes; otherwise the temp
+    file is removed and path is left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via a same-directory temp file and atomic rename."""
+    with _atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def meta_path(path) -> Path:
@@ -51,19 +69,33 @@ def _json_text(record) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in path; text that does not parse, or parses to
+    another JSON type, is a ValueError that names the file."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {e}") from e
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return record
+
+
 def write_dataset(d: Dataset, path) -> None:
     """CSV with header y,x1,...,xm plus the meta sidecar; without meta, a
     sidecar left at the path is removed so it cannot be read back."""
-    header = ",".join(["y"] + [f"x{j}" for j in range(1, d.m + 1)])
-    # repr of a Python float round-trips; convert row by row, since a
-    # whole-table tolist() would hold 32 bytes per value at once
-    lines = [header] + [",".join(map(repr, [y] + row.tolist()))
-                        for y, row in zip(d.y.tolist(), d.x)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    if d.meta:
-        atomic_write_text(meta_path(path), _json_text(d.meta))
-    else:
+    # serialize the meta before the CSV is replaced, so a meta that is not
+    # JSON leaves the old pair in place rather than new rows with old meta
+    side = _json_text(d.meta) if d.meta else None
+    with _atomic_writer(path) as fh:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, d.m + 1)]) + "\n")
+        # repr of a Python float round-trips; one row's text at a time
+        for y, row in zip(d.y.tolist(), d.x):
+            fh.write(",".join(map(repr, [y] + row.tolist())) + "\n")
+    if side is None:
         meta_path(path).unlink(missing_ok=True)
+    else:
+        atomic_write_text(meta_path(path), side)
 
 
 def read_dataset(path) -> Dataset:
@@ -78,19 +110,31 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: malformed column header")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty: raised below
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[0] == 0:
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
+    n, width = data.shape
+    if n == 0:
         raise ValueError(f"{path}: no observations")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: {data.shape[1]} values per row, "
+    if width != len(header):
+        raise ValueError(f"{path}: {width} values per row, "
                          f"{len(header)} columns in the header")
+    y = data[:, 0].copy()
+    # move x down over the y column a block of rows at a time, so the first
+    # n*m values of the parsed buffer are x in C order and x is a view of
+    # it; numpy stages a block that overlaps its destination through a copy
+    m = width - 1
+    flat = data.reshape(-1)
+    rows = max(1, _SHIFT_BLOCK // width)
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        flat[a * m:b * m].reshape(b - a, m)[...] = data[a:b, 1:]
     meta = None
     side = meta_path(path)
     if side.exists():
-        meta = json.loads(side.read_text())
-        if not isinstance(meta, dict):
-            raise ValueError(f"{side}: expected a JSON object")
-    return Dataset(data[:, 1:], data[:, 0], meta)
+        meta = _read_json_object(side)
+    return Dataset(flat[:n * m].reshape(n, m), y, meta)
 
 
 def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
@@ -123,9 +167,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
 
 def read_coefficients(path) -> tuple[Coefficients, dict]:
     """Read coefficient JSON back; returns (coefficients, full record)."""
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    record = _read_json_object(path)
     try:
         beta = Coefficients.from_1based(int(record["m"]), record["nonzeros"])
     except (KeyError, TypeError) as e:

@@ -184,7 +184,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
     else:
         margins = x @ beta
     values, d_margin = loss_terms(loss, y, margins)
-    obj = float(values.mean()) + penalty(beta)
+    obj = float(values.sum()) / n + penalty(beta)
     grad = x.T @ d_margin / n
     if trace is not None and cold:
         trace.append(obj)
@@ -210,7 +210,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
             move = cand - beta
             move_sq = float(move @ move)
             cand_values, cand_d_margin = loss_terms(loss, y, x @ cand)
-            cand_obj = float(cand_values.mean()) + penalty(cand)
+            cand_obj = float(cand_values.sum()) / n + penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO / eta * move_sq:
                 accepted = True
                 break
@@ -320,14 +320,13 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
 
 
 def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
-    """max over coordinates of the l1-subdifferential optimality violation."""
-    on = beta != 0
-    residual = 0.0
-    if np.any(on):
-        residual = float(np.abs(grad[on] + lam * np.sign(beta[on])).max())
-    if np.any(~on):
-        residual = max(residual, float(np.maximum(np.abs(grad[~on]) - lam, 0.0).max()))
-    return residual
+    """max over coordinates of the l1-subdifferential optimality violation:
+    |g_j + lam * sign(beta_j)| where beta_j != 0, max(|g_j| - lam, 0) where
+    beta_j = 0 (sign(0) = 0 there, so both come from one vector)."""
+    if grad.size == 0:
+        return 0.0
+    a = np.abs(grad + lam * np.sign(beta))
+    return max(float(np.where(beta != 0, a, a - lam).max()), 0.0)
 
 
 def kkt_residual(d: Dataset, loss: LossSpec, lam: float, beta: Coefficients) -> float:

@@ -318,6 +318,24 @@ def test_deviation_rejects_a_malformed_sidecar(sidecar, linear_csv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_parse_errors_name_the_file(linear_csv, tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    sidecar = linear_csv.with_name("train.meta.json")
+    sidecar.write_text('{"scenario": "null",}')
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("y,x1,x2\n1.0,2.0,3.0\n1.0,2.0\n")
+    fit = tmp_path / "fit.json"
+    fit.write_text('{"m": 4 "nonzeros": []}')
+    for path, argv in [
+            (sidecar, ["solve", "--data", str(linear_csv), "--lambda", "0.1"]),
+            (ragged, ["solve", "--data", str(ragged), "--lambda", "0.1"]),
+            (fit, ["sparsify", "--coefficients", str(fit), "--kappa", "2",
+                   "--seed", "1"])]:
+        assert main(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not Path(out).exists()
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "l1risk.cli", "--help"],
                           capture_output=True, text=True)

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from l1risk.io import (
 )
 from l1risk.oracle import best_subset
 from l1risk.risk import SQUARED, Coefficients, Dataset
-from l1risk.simgen import gen_section4, gen_sparse_linear, ScenarioSpec
+from l1risk.simgen import gen_null, gen_section4, gen_sparse_linear, ScenarioSpec
 from l1risk.solvers import SolveConfig, solve_penalized
 
 
@@ -44,6 +46,60 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(back.x, d.x)
     np.testing.assert_array_equal(back.y, d.y)
     assert back.meta == d.meta
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (5, 0), (1, 6), (1, 0)])
+def test_read_dataset_returns_a_contiguous_bit_equal_design(n, m, tmp_path):
+    rng = np.random.default_rng(n * 10 + m)
+    d = Dataset(rng.standard_normal((n, m)), rng.standard_normal(n))
+    p = tmp_path / "d.csv"
+    write_dataset(d, p)
+    back = read_dataset(p)
+    assert back.x.shape == (n, m)
+    assert back.x.flags.c_contiguous
+    assert back.x.tobytes() == d.x.tobytes()
+    assert back.y.tobytes() == d.y.tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_io_holds_bounded_memory(tmp_path):
+    p = tmp_path / "d.csv"
+    write_dataset(gen_null(2, 3, 1.0, seed=1), p)  # first-call allocations
+    read_dataset(p)
+    d = gen_null(1000, 1000, 1.0, seed=1)
+    _, write_peak = _traced_peak(write_dataset, d, p)
+    assert write_peak <= 0.05 * p.stat().st_size  # a row's text, not the file's
+    back, read_peak = _traced_peak(read_dataset, p)
+    assert read_peak <= 1.3 * back.x.nbytes  # the parsed table, no x copy
+
+
+def test_failed_dataset_write_leaves_the_old_files(tmp_path):
+    p = tmp_path / "d.csv"
+    write_dataset(gen_null(5, 2, 1.0, seed=1), p)
+    before = p.read_bytes(), meta_path(p).read_bytes()
+
+    def rows():  # fails after some rows have reached the temp file
+        yield from np.ones((3, 2))
+        raise KeyboardInterrupt
+
+    halfway = SimpleNamespace(m=2, y=np.zeros(6), x=rows(), meta={})
+    with pytest.raises(KeyboardInterrupt):
+        write_dataset(halfway, p)
+    # a meta that is not JSON fails before the CSV is replaced, so the
+    # new rows are never paired with the old sidecar
+    unserializable = Dataset(np.ones((3, 2)), np.zeros(3), {"seed": np.int64(7)})
+    with pytest.raises(TypeError):
+        write_dataset(unserializable, p)
+    assert (p.read_bytes(), meta_path(p).read_bytes()) == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_dataset_full_float_precision(tmp_path):

@@ -176,6 +176,36 @@ def test_kkt_residual_pinned(hadamard):
         kkt_residual(hadamard, SQUARED, -1.0, zero)
 
 
+def _split_residual(grad, lam, beta):
+    """Reference: the on- and off-support violations taken separately."""
+    on = beta != 0
+    residual = 0.0
+    if np.any(on):
+        residual = float(np.abs(grad[on] + lam * np.sign(beta[on])).max())
+    if np.any(~on):
+        residual = max(residual, float(np.maximum(np.abs(grad[~on]) - lam, 0.0).max()))
+    return residual
+
+
+def test_stationarity_residual_matches_the_split_reference():
+    rng = np.random.default_rng(4)
+    cases = [(np.zeros(0), np.zeros(0))]
+    for m in (1, 7, 40):
+        beta = rng.standard_normal(m)
+        grad = rng.standard_normal(m) * 0.3
+        off = rng.random(m) < 0.5
+        beta[off] = 0.0
+        beta[off & (rng.random(m) < 0.5)] = -0.0
+        grad[rng.random(m) < 0.2] = -0.0
+        cases += [(grad, beta), (grad, np.zeros(m)), (grad, -np.zeros(m)),
+                  (grad, np.where(beta == 0, 1.5, beta))]
+    for grad, beta in cases:
+        for lam in (0.0, 0.1, 0.25, 2.0):
+            got = solvers._stationarity_residual(grad, lam, beta)
+            assert type(got) is float
+            assert repr(got) == repr(_split_residual(grad, lam, beta))  # bits
+
+
 @pytest.mark.parametrize("loss", [SQUARED, EXPONENTIAL, ABSOLUTE])
 def test_monotone_descent_trace(loss):
     rng = np.random.default_rng(7)
