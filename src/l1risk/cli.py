@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from l1risk.experiments import (
+    _one_blas_thread,
     lambda_sweep,
     persistence_curve,
     ridge_vs_l1_demo,
@@ -174,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance-convention", choices=list(VARIANCE_CONVENTIONS),
                    default="var")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (never changes the numbers); they "
-                   "supply the parallelism, so BLAS runs single-threaded "
-                   "for the sweep and is restored afterwards")
+                   help="worker threads (never changes the numbers)")
     _add_solver_flags(p)
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", required=True, help="output sweep CSV")
@@ -409,7 +408,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        with _one_blas_thread():
+            return COMMANDS[args.command](args)
     except ArgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

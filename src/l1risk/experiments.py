@@ -78,8 +78,10 @@ _BLAS_PIN_LOCK = threading.RLock()
 def _one_blas_thread():
     """Hold OpenBLAS to one thread for the block, then restore its count.
 
-    Sweep workers supply the parallelism; OpenBLAS threads would compete
-    with them for the same cores. Without numpy's OpenBLAS it does nothing.
+    Every command (`cli.main`) and harness (`_run_cells`) runs under it, so
+    output bytes do not depend on the core count and harness workers do not
+    compete with OpenBLAS threads for cores; direct solver calls keep the
+    caller's setting. Without numpy's OpenBLAS it does nothing.
     """
     api = _openblas()
     if api is None:
@@ -162,31 +164,33 @@ class RidgeComparison:
 
 
 def _run_cells(cells, fn, threads=1, progress=None) -> list:
-    """fn(cell) for every cell, in cell order.
+    """fn(cell) for every cell, in cell order, with OpenBLAS on one thread.
 
     With threads > 1 the cells run on a pool of that many threads, otherwise
     in the calling thread. progress, if given, is called as
     progress(done, total) once per cell, in cell order. When a cell or
     progress raises, cells not yet started are cancelled before the error
-    propagates.
+    propagates. OpenBLAS's previous thread count is restored on return; with
+    numpy's OpenBLAS, two runs started at once in one process take turns.
     """
     cells = list(cells)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        if pool is None:
-            outcomes = map(fn, cells)
-        else:
-            futures = [pool.submit(fn, cell) for cell in cells]
-            outcomes = (future.result() for future in futures)
-        results = []
-        for done, result in enumerate(outcomes, start=1):
-            results.append(result)
-            if progress is not None:
-                progress(done, len(cells))
-        return results
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+        try:
+            if pool is None:
+                outcomes = map(fn, cells)
+            else:
+                futures = [pool.submit(fn, cell) for cell in cells]
+                outcomes = (future.result() for future in futures)
+            results = []
+            for done, result in enumerate(outcomes, start=1):
+                results.append(result)
+                if progress is not None:
+                    progress(done, len(cells))
+            return results
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
 
 def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
@@ -200,13 +204,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     set of size test_n from [seed, lambda_index, rep, 1]. That test set is
     scored as it is drawn (`sample_risk`), so no test design is held in
     memory. progress, if given, is called as progress(done, total) after
-    each cell.
-
-    threads worker threads run the cells and supply the parallelism, so
-    while the cells run, OpenBLAS is held to one thread; its previous thread
-    count is restored on return, also when a cell or progress raises. With
-    numpy's OpenBLAS, two sweeps started at once in one process run one
-    after the other. Any threads value gives the same rows, bit for bit.
+    each cell. The cells run on `threads` worker threads, and any threads
+    value gives the same rows, bit for bit.
     """
     if scenario.kind != "section4":
         raise ValueError("lambda_sweep expects a section4 scenario")
@@ -238,8 +237,7 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         )
 
     cells = [(li, rep) for li in range(len(lambdas)) for rep in range(reps)]
-    with _one_blas_thread():
-        results = _run_cells(cells, sweep_cell, threads, progress)
+    results = _run_cells(cells, sweep_cell, threads, progress)
 
     rows = []
     for li, lam in enumerate(lambdas):
@@ -269,8 +267,8 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     smallest budget admitting the target, since ||beta*||_1 = sqrt(k) here).
     Repetition r at n-index i draws from stream [seed, i, r].
     """
-    if not alpha > 1:
-        raise ValueError("alpha must exceed 1")
+    if not 1 < alpha < math.inf:  # NaN fails too
+        raise ValueError("alpha must exceed 1 and be finite")
     if reps < 1:
         raise ValueError("reps must be positive")
     ns = list(ns)

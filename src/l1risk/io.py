@@ -98,6 +98,21 @@ def write_dataset(d: Dataset, path) -> None:
         atomic_write_text(meta_path(path), side)
 
 
+def _ragged_line(path, columns: int):
+    """A ValueError naming the first data line of path that does not hold
+    `columns` values, or None when every line does. Blank lines and `#`
+    comments are skipped, as the parser skips them."""
+    with open(path, newline="") as fh:
+        next(fh)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            text = line.split("#", 1)[0].strip()
+            count = text.count(",") + 1
+            if text and count != columns:
+                return ValueError(f"{path}: line {lineno} has {count} "
+                                  f"values, the header has {columns} columns")
+    return None
+
+
 def read_dataset(path) -> Dataset:
     """Read a dataset CSV; meta comes from the sidecar when present."""
     path = Path(path)
@@ -113,7 +128,8 @@ def read_dataset(path) -> Dataset:
             try:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as e:
-                raise ValueError(f"{path}: {e}") from e
+                raise _ragged_line(path, len(header)) \
+                    or ValueError(f"{path}: {e}") from e
     n, width = data.shape
     if n == 0:
         raise ValueError(f"{path}: no observations")

@@ -230,8 +230,10 @@ def grid_best(d: Dataset, k: int, cube_radius: float, step: float,
     """
     if k < 1 or k > min(d.n, d.m):
         raise ValueError(f"k must lie in [1, min(n, m)] = [1, {min(d.n, d.m)}]")
-    if not (cube_radius > 0 and step > 0):
-        raise ValueError("cube_radius and step must be positive")
+    if not 0 < cube_radius < math.inf:  # NaN fails too
+        raise ValueError("cube_radius must be positive and finite")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     q = max(1, math.ceil(2.0 * cube_radius / step - 1e-12))
     count = math.comb(d.m, k) * q ** k
     if count > budget:

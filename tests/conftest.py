@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from l1risk import experiments
 from l1risk.risk import Dataset
 
 # one PASS/FAIL line per acceptance criterion, echoed after the test results
@@ -28,6 +29,22 @@ H_COLUMNS = np.array([
     [-1.0, -1.0, 1.0],
 ])
 H_TARGET = np.array([3.0, 2.0, 1.0])
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to two for
+    the test; skips without a bundled OpenBLAS."""
+    api = experiments._openblas()
+    if api is None:
+        pytest.skip("numpy does not use a bundled OpenBLAS")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from l1risk import cli
 from l1risk.cli import COMMANDS, ArgError, build_parser, main, \
     parse_lambda_grid
 from l1risk.io import read_coefficients, write_dataset
 from l1risk.simgen import gen_null
+from l1risk.solvers import solve_penalized
 
 
 def test_parse_lambda_grid():
@@ -96,6 +98,22 @@ def test_solve_reports_a_certificate(linear_csv, tmp_path, capsys):
     assert record["params"]["penalty"] == "l1"
     assert beta.support >= 2
     assert "converged" in capsys.readouterr().out
+
+
+def test_commands_run_one_blas_thread_and_restore_the_count(
+        openblas_at_two_threads, linear_csv, tmp_path, monkeypatch, capsys):
+    get = openblas_at_two_threads
+    seen = []
+
+    def spy(*args):
+        seen.append(get())
+        return solve_penalized(*args)
+
+    monkeypatch.setattr(cli, "solve_penalized", spy)
+    assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
+                 "--out", str(tmp_path / "fit.json")]) == 0
+    assert seen == [1]
+    assert get() == 2
 
 
 def test_solve_ball_variants_respect_their_radii(linear_csv, tmp_path, capsys):

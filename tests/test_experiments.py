@@ -65,37 +65,34 @@ def test_lambda_sweep_threads_do_not_change_the_answer_on_blas_sized_designs():
     assert rows == threaded
 
 
-@pytest.fixture
-def openblas_at_two_threads():
-    """numpy's OpenBLAS (get, set), set to two threads for the test."""
-    api = experiments._openblas()
-    if api is None:
-        pytest.skip("numpy does not use a bundled OpenBLAS")
-    get, set_ = api
-    before = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(before)
+# each runs two cells and passes progress through
+HARNESSES = {
+    "sweep-1": lambda progress: lambda_sweep(
+        SMALL, [0.1], reps=2, test_n=30, cfg=FAST, progress=progress),
+    "sweep-2": lambda progress: lambda_sweep(
+        SMALL, [0.1], reps=2, test_n=30, cfg=FAST, threads=2,
+        progress=progress),
+    "persistence": lambda progress: persistence_curve(
+        [20], 1.2, 2, 2, FAST, progress=progress),
+    "ridge": lambda progress: ridge_vs_l1_demo(
+        20, 30, 1.0, 0.5, [0.5], 2, FAST, progress=progress),
+}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_lambda_sweep_runs_one_blas_thread_and_restores_the_count(
-        openblas_at_two_threads, threads):
+@pytest.mark.parametrize("run", HARNESSES.values(), ids=HARNESSES.keys())
+def test_harnesses_run_one_blas_thread_and_restore_the_count(
+        openblas_at_two_threads, run):
     get = openblas_at_two_threads
     seen = []
-    lambda_sweep(SMALL, [0.1], reps=2, test_n=30, cfg=FAST, threads=threads,
-                 progress=lambda done, total: seen.append(get()))
+    run(lambda done, total: seen.append(get()))
     assert seen == [1, 1]
     assert get() == 2
 
     def fail(done, total):
         raise RuntimeError("progress failed")
 
-    with pytest.raises(RuntimeError):
-        lambda_sweep(SMALL, [0.1], reps=2, test_n=30, cfg=FAST,
-                     threads=threads, progress=fail)
+    with pytest.raises(RuntimeError, match="progress failed"):
+        run(fail)
     assert get() == 2
 
 

@@ -144,6 +144,15 @@ def test_read_dataset_rejects_bad_input(tmp_path):
         p.write_text(body)
         with pytest.raises(ValueError):
             read_dataset(p)
+    # a ragged row is named by its file line, skipped blank lines counted,
+    # without the parser's advice to pass `usecols`
+    for body, line, count in (("y,x1,x2\n1.0,2.0,3.0\n1.0,2.0\n", 3, 2),
+                              ("y,x1,x2\n1,2,3\n\n1,2,3,4\n", 4, 4)):
+        p.write_text(body)
+        with pytest.raises(ValueError) as caught:
+            read_dataset(p)
+        assert str(caught.value) == (f"{p}: line {line} has {count} values, "
+                                     "the header has 3 columns")
     with pytest.raises(OSError):
         read_dataset(tmp_path / "absent.csv")
 

@@ -41,6 +41,8 @@ CASES = {
     "sweep inf": (lambda: lambda_sweep(SECTION4, [INF], 1, 10, CFG), "lambda"),
     "persist alpha": (lambda: persistence_curve([20], NAN, 2, 1, CFG),
                       "alpha"),
+    "persist alpha inf": (lambda: persistence_curve([20], INF, 2, 1, CFG),
+                          "alpha"),
     "persist empty": (lambda: persistence_curve([], 1.2, 2, 1, CFG), "one n"),
     "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, CFG,
                                                 sigma=NAN), "sigma"),
@@ -63,7 +65,10 @@ CASES = {
         D, Coefficients(np.ones(3)), 1, NAN, 1, 0), "delta"),
     "grid radius": (lambda: grid_best(D, 1, NAN, 0.5, SQUARED),
                     "cube_radius"),
+    "grid radius inf": (lambda: grid_best(D, 1, INF, 0.5, SQUARED),
+                        "cube_radius"),
     "grid step": (lambda: grid_best(D, 1, 1.0, NAN, SQUARED), "step"),
+    "grid step inf": (lambda: grid_best(D, 1, 1.0, INF, SQUARED), "step"),
     **{f"deviation radius {r}": (
         lambda r=r: sup_deviation(D, 1, 1, r, SQUARED, D), "radius")
        for r in (-1.0, NAN, INF)},
