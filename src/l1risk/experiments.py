@@ -32,8 +32,8 @@ from l1risk.risk import (
 )
 from l1risk.simgen import ScenarioSpec, generate, population_risk, \
     sample_risk, sparse_unit_vector
-from l1risk.solvers import SolveConfig, solve_constrained, solve_penalized, \
-    solve_ridge_constrained
+from l1risk.solvers import SolveConfig, _L1Penalty, solve_constrained, \
+    solve_penalized, solve_ridge_constrained
 
 # Alias of the solver default, kept because the benchmark harness reads
 # `experiments.DEFAULT_SWEEP_CONFIG`.
@@ -212,8 +212,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("need at least one lambda")
-    if not all(0 <= lam < math.inf for lam in lambdas):
-        raise ValueError("lambda must be nonnegative and finite")
+    for lam in lambdas:
+        _L1Penalty(lam)  # checks lambda before any cell draws
     if reps < 1 or test_n < 1:
         raise ValueError("reps and test_n must be positive")
     if threads < 1:
@@ -279,7 +279,11 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
     budget = math.sqrt(support_size)
     specs = []
     for n in ns:
-        m = math.ceil(n ** alpha)
+        try:
+            m = math.ceil(n ** alpha)
+        except OverflowError:
+            raise ValueError(f"alpha = {alpha} makes n^alpha overflow at "
+                             f"n = {n}") from None
         specs.append(ScenarioSpec("sparse_linear", n, {
             "m": m, "beta_star": sparse_unit_vector(m, support_size),
             "sigma": sigma}))

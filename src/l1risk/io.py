@@ -98,18 +98,28 @@ def write_dataset(d: Dataset, path) -> None:
         atomic_write_text(meta_path(path), side)
 
 
-def _ragged_line(path, columns: int):
+def _bad_line(path, header):
     """A ValueError naming the first data line of path that does not hold
-    `columns` values, or None when every line does. Blank lines and `#`
+    one value per header column, or the line and column of the first value
+    that is not a number; None when every line parses. Blank lines and `#`
     comments are skipped, as the parser skips them."""
     with open(path, newline="") as fh:
         next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
             text = line.split("#", 1)[0].strip()
-            count = text.count(",") + 1
-            if text and count != columns:
-                return ValueError(f"{path}: line {lineno} has {count} "
-                                  f"values, the header has {columns} columns")
+            if not text:
+                continue
+            fields = text.split(",")
+            if len(fields) != len(header):
+                return ValueError(f"{path}: line {lineno} has {len(fields)} "
+                                  f"values, the header has {len(header)} "
+                                  "columns")
+            for name, field in zip(header, fields):
+                try:
+                    float(field)
+                except ValueError:
+                    return ValueError(f"{path}: line {lineno}, column "
+                                      f"{name}: {field!r} is not a number")
     return None
 
 
@@ -128,7 +138,7 @@ def read_dataset(path) -> Dataset:
             try:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as e:
-                raise _ragged_line(path, len(header)) \
+                raise _bad_line(path, header) \
                     or ValueError(f"{path}: {e}") from e
     n, width = data.shape
     if n == 0:

@@ -6,8 +6,9 @@ guarantee. A budget on the number of evaluated candidates rejects instances
 that are too large instead of silently sampling.
 
 Subset fits: squared loss solves each subset by least squares, and absolute
-loss runs the solvers' descent on each subset. Exponential-loss subsets are
-fit together by damped Newton (Boyd & Vandenberghe, Convex Optimization,
+loss runs the solvers' descent on the l2 ball of infinite radius (the
+problem `solve_ridge_constrained(..., inf)` poses). Exponential-loss subsets
+are fit together by damped Newton (Boyd & Vandenberghe, Convex Optimization,
 9.5). The signed columns y * x_S of a chunk of subsets are stacked into one
 (subsets, k, n) array of at most `_CHUNK_BYTES`, and each step forms every
 gradient and k x k Hessian at once. Each Newton system is solved through an
@@ -41,7 +42,7 @@ import numpy as np
 from l1risk.risk import EXPONENTIAL, Coefficients, Dataset, LossSpec, \
     loss_terms
 from l1risk.solvers import CERTIFICATE_TOL, SolveConfig, _ARMIJO, \
-    _BACKTRACK, _MAX_BACKTRACKS, _descend
+    _BACKTRACK, _MAX_BACKTRACKS, _Ball, _descend, project_l2
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -90,10 +91,8 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
         values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
         residual = d.y - xs @ values
         return values, float((residual * residual).mean())
-    # the absolute loss is nonsmooth: its (sub)gradient descent has no
-    # certificate and runs to the stall threshold
-    beta, report, _ = _descend(xs, d.y, loss, penalty=lambda b: 0.0,
-                               prox=lambda v, _eta: v, cfg=_SUBSET_CFG)
+    # nonsmooth: the subgradient descent almost never certifies and stalls
+    beta, report, _ = _descend(xs, d.y, loss, _Ball(np.inf, project_l2), _SUBSET_CFG)
     return beta, report.objective
 
 
@@ -232,8 +231,9 @@ def grid_best(d: Dataset, k: int, cube_radius: float, step: float,
         raise ValueError(f"k must lie in [1, min(n, m)] = [1, {min(d.n, d.m)}]")
     if not 0 < cube_radius < math.inf:  # NaN fails too
         raise ValueError("cube_radius must be positive and finite")
-    if not 0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
+    if not 0 < step < math.inf or 2.0 * cube_radius / step == math.inf:
+        raise ValueError("step must be positive, finite and not so small "
+                         "that 2 * cube_radius / step overflows")
     q = max(1, math.ceil(2.0 * cube_radius / step - 1e-12))
     count = math.comb(d.m, k) * q ** k
     if count > budget:

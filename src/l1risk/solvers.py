@@ -1,9 +1,11 @@
 """Empirical risk minimization under l1 penalty, l1 constraint or l2 constraint.
 
-All three solvers run the same monotone proximal/projected gradient loop:
-a Barzilai-Borwein step proposal safeguarded by Armijo backtracking, started
-at beta = 0. Every run returns a certificate (`SolveReport`): the penalized
-form reports the subgradient stationarity residual, the constrained forms the
+Each solver poses its problem as a frozen form, `_L1Penalty` or `_Ball`, that
+checks its parameter and carries its penalty, prox step, certificate and
+working-set rule. All three run the same monotone proximal/projected gradient
+loop: a Barzilai-Borwein step proposal safeguarded by Armijo backtracking,
+started at beta = 0. Every run returns a certificate (`SolveReport`): the
+penalized form reports the subgradient stationarity residual, the balls the
 projected-gradient fixed-point residual at the accepted step length.
 
 Stopping rule: the residual is checked at beta = 0 and after every accepted
@@ -160,16 +162,85 @@ def project_l2(v, delta: float) -> np.ndarray:
     return v * (delta / norm)
 
 
-def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
-             beta=None, eta=_STEP_INIT, tol=CERTIFICATE_TOL):
-    """Monotone composite descent of mean loss(y, x @ beta) + penalty(beta),
+@dataclass(frozen=True)
+class _L1Penalty:
+    """Risk + lam * ||beta||_1, certified by the largest of 0 and the l1
+    optimality violations: |g_j + lam * sign(beta_j)| where beta_j != 0,
+    |g_j| - lam where beta_j = 0 (sign(0) = 0, so one vector holds both). A
+    column outside the working set violates it when |g_j| exceeds lam."""
+
+    lam: float
+    grows = True
+
+    def __post_init__(self):
+        if not 0 <= self.lam < np.inf:  # NaN fails too; inf * 0 would be NaN
+            raise ValueError("lambda must be nonnegative and finite")
+
+    @property
+    def unbounded(self) -> bool:
+        return self.lam == 0
+
+    def penalty(self, beta):
+        return self.lam * float(np.abs(beta).sum())
+
+    def prox(self, v, eta):
+        return soft_threshold(v, eta * self.lam)
+
+    def residual(self, beta, grad, eta):
+        a = np.abs(grad + self.lam * np.sign(beta))
+        return float(np.where(beta != 0, a, a - self.lam).max(initial=0.0))
+
+    def threshold(self, beta, grad):
+        return self.lam
+
+
+@dataclass(frozen=True)
+class _Ball:
+    """Risk over the ball ||beta|| <= radius that `project` (project_l1 or
+    project_l2) projects onto, certified by the fixed-point residual at the
+    step length. Only l1-ball sets grow: a column outside one violates
+    optimality when |g_j| exceeds the least |g| on the support (0 if none)."""
+
+    radius: float
+    project: object
+
+    def __post_init__(self):
+        if not self.radius >= 0:  # NaN fails too
+            name = "l1 budget" if self.grows else "l2 radius"
+            raise ValueError(f"{name} must be nonnegative")
+
+    @property
+    def grows(self) -> bool:
+        return self.project is project_l1
+
+    @property
+    def unbounded(self) -> bool:
+        return self.radius == np.inf
+
+    def penalty(self, beta):
+        return 0.0
+
+    def prox(self, v, eta):
+        # an infinite ball projects nothing; project_l1/l2 would copy v
+        return v if self.unbounded else self.project(v, self.radius)
+
+    def residual(self, beta, grad, eta):
+        step = beta - self.prox(beta - eta * grad, eta)
+        return float(np.sqrt(step @ step)) / eta
+
+    def threshold(self, beta, grad):
+        on = beta != 0
+        return float(np.abs(grad[on]).min()) if on.any() else 0.0
+
+
+def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
+             tol=CERTIFICATE_TOL):
+    """Monotone composite descent of mean loss(y, x @ beta) + form.penalty(beta),
     started at `beta` (zero if None) with first step length `eta`.
 
-    `prox(v, eta)` must return the proximal/projection step for step length
-    eta, and `residual(beta, grad, eta)`, if given, the certificate at beta;
-    the run stops at the first iterate where it is at most `tol`. Without one
-    only the fallback rules apply and the report's residual is inf.
-    Candidate steps with nonfinite objective are rejected by the line
+    Each step is `form.prox(v, eta)`, and the run stops at the first iterate
+    where the form's certificate `form.residual(beta, grad, eta)` is at most
+    `tol`. Candidate steps with nonfinite objective are rejected by the line
     search, so exponential-loss overflow only shortens the step. A `trace`
     list gets the objective of every accepted iterate, and the starting
     objective only on a cold start (`beta` None): a warm start continues an
@@ -184,7 +255,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
     else:
         margins = x @ beta
     values, d_margin = loss_terms(loss, y, margins)
-    obj = float(values.sum()) / n + penalty(beta)
+    obj = float(values.sum()) / n + form.penalty(beta)
     grad = x.T @ d_margin / n
     if trace is not None and cold:
         trace.append(obj)
@@ -193,7 +264,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
     small_steps = 0  # consecutive accepted steps below the stall threshold
     prev_beta = None
     prev_grad = None
-    res = np.inf if residual is None else residual(beta, grad, eta)
+    res = form.residual(beta, grad, eta)
     reason = "certified" if res <= tol else None
     while reason is None and iterations < cfg.max_iter:
         iterations += 1
@@ -206,11 +277,11 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
             eta = min(max(eta, _STEP_MIN), _STEP_MAX)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = prox(beta - eta * grad, eta)
+            cand = form.prox(beta - eta * grad, eta)
             move = cand - beta
             move_sq = float(move @ move)
             cand_values, cand_d_margin = loss_terms(loss, y, x @ cand)
-            cand_obj = float(cand_values.sum()) / n + penalty(cand)
+            cand_obj = float(cand_values.sum()) / n + form.penalty(cand)
             if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO / eta * move_sq:
                 accepted = True
                 break
@@ -227,8 +298,7 @@ def _descend(x, y, loss, penalty, prox, cfg, residual=None, trace=None,
         grad = x.T @ cand_d_margin / n
         if trace is not None:
             trace.append(obj)
-        if residual is not None:
-            res = residual(beta, grad, eta)
+        res = form.residual(beta, grad, eta)
         if res <= tol:
             reason = "certified"
         elif move_sq == 0.0:
@@ -248,16 +318,16 @@ def _largest(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argpartition(values, values.size - k)[values.size - k:])
 
 
-def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
-                 trace=None):
-    """`_descend` on a growing set of the columns of x (see the module
-    docstring), with the certificate always taken on the full design.
+def _working_set(x, y, loss, form, cfg, trace=None):
+    """`_descend` of `form` on a growing set of the columns of x (see the
+    module docstring), with the certificate always taken on the full design.
 
     A column outside the set violates optimality when its |gradient| exceeds
-    `threshold(beta, grad)`. Without a threshold, for the absolute loss
-    (whose subgradient descent never certifies, so no pass would end with a
-    set worth growing), or for designs of at most `_WS_SMALL` columns, the
-    first pass runs on all of x, and a pass on all of x is always the last.
+    `form.threshold(beta, grad)`. For a form whose set does not grow, for
+    the absolute loss (whose subgradient descent never certifies, so no pass
+    would end with a set worth growing), or for designs of at most
+    `_WS_SMALL` columns, the first pass runs on all of x, and a pass on all
+    of x is always the last.
     """
     n, m = x.shape
     # One gather buffer, with room for twice the set, replaced only when a
@@ -276,17 +346,15 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
 
     start, cols, block = None, None, x  # a cold first pass on all of x
     eta, tol = _STEP_INIT, CERTIFICATE_TOL
-    if threshold is not None and loss.kind != "absolute" and m > _WS_SMALL:
+    if form.grows and loss.kind != "absolute" and m > _WS_SMALL:
         grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
         cols = _largest(np.abs(grad), _WS_FIRST)
         block = gather(cols)
-        tol = max(tol, _WS_INNER * residual(np.zeros(m), grad, eta))
+        tol = max(tol, _WS_INNER * form.residual(np.zeros(m), grad, eta))
     iterations = rejections = 0
     while True:
-        sub, report, eta = _descend(
-            block, y, loss, penalty, prox,
-            replace(cfg, max_iter=cfg.max_iter - iterations), residual, trace,
-            start, eta, tol)
+        sub, report, eta = _descend(block, y, loss, form, replace(
+            cfg, max_iter=cfg.max_iter - iterations), trace, start, eta, tol)
         iterations += report.iterations
         rejections += report.step_rejections
         if cols is None:
@@ -295,7 +363,7 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
         beta = np.zeros(m)
         beta[cols] = sub
         grad = x.T @ loss_terms(loss, y, block @ sub)[1] / n
-        res = residual(beta, grad, eta)
+        res = form.residual(beta, grad, eta)
         reason = report.reason
         if reason == "certified" and res > CERTIFICATE_TOL:
             reason = None if iterations < cfg.max_iter else "max_iter"
@@ -304,7 +372,7 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
                                      rejections, reason)
         score = np.abs(grad)
         score[cols] = 0.0
-        violators = np.flatnonzero(score > threshold(beta, grad))
+        violators = np.flatnonzero(score > form.threshold(beta, grad))
         grow = min(violators.size, max(_WS_GROW, np.count_nonzero(beta)))
         if grow == 0 and tol > CERTIFICATE_TOL:
             tol = CERTIFICATE_TOL  # the set holds: finish it exactly
@@ -319,30 +387,17 @@ def _working_set(x, y, loss, penalty, prox, cfg, residual, threshold=None,
         start = beta if cols is None else beta[cols]
 
 
-def _stationarity_residual(grad: np.ndarray, lam: float, beta: np.ndarray) -> float:
-    """max over coordinates of the l1-subdifferential optimality violation:
-    |g_j + lam * sign(beta_j)| where beta_j != 0, max(|g_j| - lam, 0) where
-    beta_j = 0 (sign(0) = 0 there, so both come from one vector)."""
-    if grad.size == 0:
-        return 0.0
-    a = np.abs(grad + lam * np.sign(beta))
-    return max(float(np.where(beta != 0, a, a - lam).max()), 0.0)
-
-
 def kkt_residual(d: Dataset, loss: LossSpec, lam: float, beta: Coefficients) -> float:
     """Stationarity residual of the l1-penalized objective at beta."""
-    if not 0 <= lam < np.inf:  # NaN fails too; inf * 0 would be NaN
-        raise ValueError("lambda must be nonnegative and finite")
-    return _stationarity_residual(empirical_gradient(d, beta, loss), lam, beta.values)
+    return _L1Penalty(lam).residual(beta.values, empirical_gradient(d, beta, loss), 1.0)
 
 
-def _flag_unbounded(d: Dataset, loss: LossSpec, beta: np.ndarray,
-                    report: SolveReport) -> SolveReport:
-    """The report of an unpenalized, unconstrained fit, with reason
-    "unbounded" when its exponential margins are strictly separated."""
-    if loss.kind == "exponential" and np.all(d.y * (d.x @ beta) > 0.0):
-        return replace(report, reason="unbounded")
-    return report
+def _solve(d: Dataset, loss: LossSpec, form, cfg, trace):
+    """Fit `form` on d, flagging an unbounded fit (see the module docstring)."""
+    beta, report = _working_set(d.x, d.y, loss, form, cfg, trace)
+    if form.unbounded and loss.kind == "exponential" and np.all(d.y * (d.x @ beta) > 0):
+        report = replace(report, reason="unbounded")
+    return Coefficients(beta), report
 
 
 def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
@@ -352,55 +407,16 @@ def solve_penalized(d: Dataset, loss: LossSpec, lam: float,
     Non-convergence is not an exception: the best (last accepted, hence
     lowest-objective) iterate is returned with converged=False.
     """
-    if not 0 <= lam < np.inf:  # NaN fails too; inf * 0 would be NaN
-        raise ValueError("lambda must be nonnegative and finite")
-    beta, report = _working_set(
-        d.x, d.y, loss,
-        penalty=lambda b: lam * float(np.abs(b).sum()),
-        prox=lambda v, eta: soft_threshold(v, eta * lam),
-        cfg=cfg,
-        residual=lambda b, g, _eta: _stationarity_residual(g, lam, b),
-        threshold=lambda b, g: lam,
-        trace=trace)
-    if lam == 0:
-        report = _flag_unbounded(d, loss, beta, report)
-    return Coefficients(beta), report
-
-
-def _solve_projected(d, loss, radius, project, cfg, trace, threshold=None):
-    def fixed_point_residual(beta, grad, eta):
-        step = beta - project(beta - eta * grad)
-        return float(np.sqrt(step @ step)) / eta
-
-    beta, report = _working_set(
-        d.x, d.y, loss, penalty=lambda b: 0.0,
-        prox=lambda v, _eta: project(v), cfg=cfg,
-        residual=fixed_point_residual, threshold=threshold, trace=trace)
-    if radius == np.inf:
-        report = _flag_unbounded(d, loss, beta, report)
-    return Coefficients(beta), report
-
-
-def _smallest_support_gradient(beta, grad):
-    """min |grad| over the support of beta (0 at beta = 0): at an l1-ball
-    optimum no coordinate's |grad| exceeds it."""
-    on = beta != 0
-    return float(np.abs(grad[on]).min()) if on.any() else 0.0
+    return _solve(d, loss, _L1Penalty(lam), cfg, trace)
 
 
 def solve_constrained(d: Dataset, loss: LossSpec, b: float,
                       cfg: SolveConfig = SolveConfig(), trace=None):
     """Minimize empirical risk over the l1 ball ||beta||_1 <= b (projected gradient)."""
-    if not b >= 0:
-        raise ValueError("l1 budget must be nonnegative")
-    return _solve_projected(d, loss, b, lambda v: project_l1(v, b), cfg,
-                            trace, threshold=_smallest_support_gradient)
+    return _solve(d, loss, _Ball(b, project_l1), cfg, trace)
 
 
 def solve_ridge_constrained(d: Dataset, loss: LossSpec, delta: float,
                             cfg: SolveConfig = SolveConfig(), trace=None):
     """Minimize empirical risk over the l2 ball ||beta||_2 <= delta (projected gradient)."""
-    if not delta >= 0:
-        raise ValueError("l2 radius must be nonnegative")
-    return _solve_projected(d, loss, delta, lambda v: project_l2(v, delta),
-                            cfg, trace)
+    return _solve(d, loss, _Ball(delta, project_l2), cfg, trace)

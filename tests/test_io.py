@@ -153,6 +153,14 @@ def test_read_dataset_rejects_bad_input(tmp_path):
             read_dataset(p)
         assert str(caught.value) == (f"{p}: line {line} has {count} values, "
                                      "the header has 3 columns")
+    # so is a non-number, with its column
+    for body, line in (("y,x1,x2\n1.0,2.0,abc\n", 2),
+                       ("y,x1,x2\n# c\n\n1.0,2.0,3.0\n1.0,2.0,abc\n", 5)):
+        p.write_text(body)
+        with pytest.raises(ValueError) as caught:
+            read_dataset(p)
+        assert str(caught.value) == (f"{p}: line {line}, column x2: 'abc' "
+                                     "is not a number")
     with pytest.raises(OSError):
         read_dataset(tmp_path / "absent.csv")
 

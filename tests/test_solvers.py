@@ -25,6 +25,8 @@ from l1risk.solvers import (
     CERTIFICATE_TOL,
     SolveConfig,
     _descend,
+    _Ball,
+    _L1Penalty,
     kkt_residual,
     project_l1,
     project_l2,
@@ -201,7 +203,7 @@ def test_stationarity_residual_matches_the_split_reference():
                   (grad, np.where(beta == 0, 1.5, beta))]
     for grad, beta in cases:
         for lam in (0.0, 0.1, 0.25, 2.0):
-            got = solvers._stationarity_residual(grad, lam, beta)
+            got = _L1Penalty(lam).residual(beta, grad, 1.0)
             assert type(got) is float
             assert repr(got) == repr(_split_residual(grad, lam, beta))  # bits
 
@@ -351,14 +353,7 @@ def test_one_tiny_decrease_is_not_a_stall():
     # 17th step lowers the objective by only 5.9e-14 (relative change below
     # tol = 1e-13) at residual 1.52e-5; the next step certifies
     d = gen_null(200, 2000, 1.0, [1, 8, 0])
-
-    def fixed_point_residual(beta, grad, eta):
-        step = beta - project_l1(beta - eta * grad, 1.0)
-        return float(np.sqrt(step @ step)) / eta
-
-    _, report, _ = _descend(d.x, d.y, SQUARED, penalty=lambda b: 0.0,
-                            prox=lambda v, _eta: project_l1(v, 1.0),
-                            cfg=SolveConfig(), residual=fixed_point_residual)
+    _, report, _ = _descend(d.x, d.y, SQUARED, _Ball(1.0, project_l1), SolveConfig())
     assert report.reason == "certified"
     assert report.iterations == 18
     assert report.kkt_residual <= CERTIFICATE_TOL
@@ -491,33 +486,49 @@ def test_max_iter_caps_the_total_over_passes(passes):
 
 
 def test_the_trace_is_monotone_across_passes(passes):
-    d = gen_section4(200, 1000, 3)
-    trace = []
-    _, report = solve_penalized(d, EXPONENTIAL, 0.01, trace=trace)
-    assert len(passes) >= 2
-    assert len(trace) == report.iterations + 1
-    assert trace[-1] == report.objective
-    assert np.all(np.diff(trace) <= 1e-12)
+    for solve, d, loss, arg in (
+            (solve_penalized, gen_section4(200, 1000, 3), EXPONENTIAL, 0.01),
+            (solve_constrained, gen_null(200, 2000, 1.0, 4), SQUARED, 1.0)):
+        before = len(passes)
+        trace = []
+        _, report = solve(d, loss, arg, trace=trace)
+        assert len(passes) - before >= 2
+        assert report.converged
+        assert len(trace) == report.iterations + 1
+        assert trace[-1] == report.objective
+        assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_a_step_that_does_not_move_stops_the_run():
-    # the absolute-loss subgradient at beta = 0 is (-1 + 1) / 2 = 0
-    x, y = np.array([[1.0], [1.0]]), np.array([1.0, -1.0])
-    beta, report, _ = _descend(x, y, ABSOLUTE, penalty=lambda b: 0.0,
-                               prox=lambda v, _eta: v, cfg=SolveConfig())
+    # the absolute-loss subgradient at beta = 1e17 is 1, and a unit step is
+    # below the rounding of beta (its spacing there is 16)
+    x, y = np.array([[1.0]]), np.array([0.0])
+    beta, report, _ = _descend(x, y, ABSOLUTE, _L1Penalty(0.0), SolveConfig(),
+                               beta=np.array([1e17]))
     assert report.reason == "zero_step" and not report.converged
     assert report.iterations == 1 and report.step_rejections == 0
-    assert report.kkt_residual == np.inf  # no certificate was given
-    np.testing.assert_array_equal(beta, [0.0])
+    assert report.kkt_residual == 1.0
+    np.testing.assert_array_equal(beta, [1e17])
+
+
+class _Fenced:
+    """A form whose penalty is infinite everywhere but at the origin."""
+
+    def penalty(self, beta):
+        return np.inf if beta.any() else 0.0
+
+    def prox(self, v, eta):
+        return v
+
+    def residual(self, beta, grad, eta):
+        return float(np.abs(grad).max())
 
 
 def test_a_line_search_that_finds_no_step_stops_the_run(hadamard):
     # every point off the origin has infinite objective, so each trial step
     # is rejected until the step length falls below _STEP_MIN
-    beta, report, _ = _descend(
-        hadamard.x, hadamard.y, SQUARED,
-        penalty=lambda b: np.inf if b.any() else 0.0,
-        prox=lambda v, _eta: v, cfg=SolveConfig())
+    beta, report, _ = _descend(hadamard.x, hadamard.y, SQUARED, _Fenced(),
+                               SolveConfig())
     assert report.reason == "line_search_exhausted" and not report.converged
     assert report.iterations == 1
     assert report.step_rejections == 60  # 2**-60 < _STEP_MIN = 1e-18
@@ -579,8 +590,7 @@ def test_a_set_that_reaches_the_share_cap_switches_to_the_full_design(
 def test_only_a_cold_start_records_its_starting_objective(hadamard):
     # a warm start continues an earlier pass, whose last objective the
     # trace already holds
-    args = (hadamard.x, hadamard.y, SQUARED, lambda b: 0.0,
-            lambda v, _eta: v, SolveConfig())
+    args = (hadamard.x, hadamard.y, SQUARED, _L1Penalty(0.0), SolveConfig())
     trace = []
     beta, cold, _ = _descend(*args, trace=trace)
     assert len(trace) == cold.iterations + 1 and trace[-1] == cold.objective

@@ -43,6 +43,8 @@ CASES = {
                       "alpha"),
     "persist alpha inf": (lambda: persistence_curve([20], INF, 2, 1, CFG),
                           "alpha"),
+    "persist alpha overflow": (lambda: persistence_curve([20], 400.0, 2, 1,
+                                                         CFG), "alpha"),
     "persist empty": (lambda: persistence_curve([], 1.2, 2, 1, CFG), "one n"),
     "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, CFG,
                                                 sigma=NAN), "sigma"),
@@ -69,6 +71,8 @@ CASES = {
                         "cube_radius"),
     "grid step": (lambda: grid_best(D, 1, 1.0, NAN, SQUARED), "step"),
     "grid step inf": (lambda: grid_best(D, 1, 1.0, INF, SQUARED), "step"),
+    "grid step overflow": (lambda: grid_best(D, 1, 1.0, 1e-310, SQUARED),
+                           "step"),
     **{f"deviation radius {r}": (
         lambda r=r: sup_deviation(D, 1, 1, r, SQUARED, D), "radius")
        for r in (-1.0, NAN, INF)},
