@@ -284,9 +284,16 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
         except OverflowError:
             raise ValueError(f"alpha = {alpha} makes n^alpha overflow at "
                              f"n = {n}") from None
+        try:
+            beta_star = sparse_unit_vector(m, support_size)
+        except (ValueError, MemoryError) as e:
+            # numpy's own message names neither alpha nor m (and numpy's
+            # MemoryError subclass takes other arguments)
+            kind = MemoryError if isinstance(e, MemoryError) else ValueError
+            raise kind(f"alpha = {alpha} gives m = n^alpha = {m:.4g} "
+                       f"columns at n = {n}: {e}") from None
         specs.append(ScenarioSpec("sparse_linear", n, {
-            "m": m, "beta_star": sparse_unit_vector(m, support_size),
-            "sigma": sigma}))
+            "m": m, "beta_star": beta_star, "sigma": sigma}))
 
     def persistence_cell(cell):
         ni, rep = cell

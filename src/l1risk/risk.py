@@ -115,8 +115,9 @@ class Coefficients:
 
     def nonzeros_1based(self) -> list:
         """The nonzero entries as ascending 1-based [index, value] pairs."""
-        return [[int(j) + 1, float(v)] for j, v in enumerate(self.values)
-                if v != 0.0]
+        idx = np.flatnonzero(self.values)
+        return [[j + 1, v] for j, v in zip(idx.tolist(),
+                                           self.values[idx].tolist())]
 
     @property
     def m(self) -> int:

@@ -31,20 +31,28 @@ the full design. If the certificate fails, the largest violators outside
 the set join it, at least `_WS_GROW` of them and at least as many as the
 support holds: a violator is a column whose |gradient| exceeds lambda
 (penalized fits) or the smallest |gradient| on the support (l1-ball fits).
-A pass on a set that just grew stops once its residual on the set is at
-most `_WS_INNER` times the last full-design residual, or `CERTIFICATE_TOL`
-if that is larger; a pass on a set that stopped growing runs to
-`CERTIFICATE_TOL`, so early passes, on sets that still miss columns, stay
-short. Once a pass has run to `CERTIFICATE_TOL`, every later pass does too:
-a column that joins late would otherwise reopen a loose pass and then need
-a second exact one. A set that would cover `_WS_SHARE` (half) of the
-columns or more is replaced by all of them. Blocks are gathered into a
-buffer that a solve reuses until a set outgrows it. Designs of at most
-`_WS_SMALL` columns run one pass on the full design, with the iterates of
-a plain descent, and so do l2-ball fits and absolute-loss fits (which
-never certify). Iteration and rejection counts add up over passes,
-`max_iter` caps their total, a pass that stops uncertified ends the run
-with its reason, and the reported residual is always the full-design one.
+Whether a pass may stop early is the form's `loose` attribute. Penalized
+fits run loose passes: the first pass, and a pass on a set that just grew,
+stop once the residual on the set is at most `_WS_INNER` times the last
+full-design residual (at beta = 0 for the first pass), or `CERTIFICATE_TOL`
+if that is larger, and a pass on a set that stopped growing runs to
+`CERTIFICATE_TOL`. At small lambda a penalized set grows over several
+passes, and exact passes on sets that still miss columns cost more
+iterations than the loose ones save in checks. Once a pass has run to
+`CERTIFICATE_TOL`, every later pass does too: a column that joins late
+would otherwise reopen a loose pass and then need a second exact one.
+l1-ball fits run every pass to `CERTIFICATE_TOL`: their first set mostly
+holds the support already, so a loose pass would buy only a second
+full-design check (a gradient over all columns and a projection), which
+costs more than the block iterations it saves. A set that would cover
+`_WS_SHARE` (half) of the columns or more is replaced by all of them.
+Blocks are gathered into a buffer that a solve reuses until a set outgrows
+it. Designs of at most `_WS_SMALL` columns run one pass on the full
+design, with the iterates of a plain descent, and so do l2-ball fits and
+absolute-loss fits (which never certify). Iteration and rejection counts
+add up over passes, `max_iter` caps their total, a pass that stops
+uncertified ends the run with its reason, and the reported residual is
+always the full-design one.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
@@ -73,8 +81,8 @@ _MAX_BACKTRACKS = 60
 _STALL_STEPS = 2
 # Working sets (see the module docstring): first set size, fewest columns
 # added per pass, the share of the columns at which all of them are used,
-# the residual reduction asked of a pass on a set that just grew, and the
-# widest design that runs one full pass instead.
+# the residual reduction asked of a loose pass, and the widest design that
+# runs one full pass instead.
 _WS_FIRST = 100
 _WS_GROW = 50
 _WS_SHARE = 0.5
@@ -167,10 +175,12 @@ class _L1Penalty:
     """Risk + lam * ||beta||_1, certified by the largest of 0 and the l1
     optimality violations: |g_j + lam * sign(beta_j)| where beta_j != 0,
     |g_j| - lam where beta_j = 0 (sign(0) = 0, so one vector holds both). A
-    column outside the working set violates it when |g_j| exceeds lam."""
+    column outside the working set violates it when |g_j| exceeds lam, and
+    passes on a set that just grew stop early (`loose`)."""
 
     lam: float
     grows = True
+    loose = True
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:  # NaN fails too; inf * 0 would be NaN
@@ -199,10 +209,12 @@ class _Ball:
     """Risk over the ball ||beta|| <= radius that `project` (project_l1 or
     project_l2) projects onto, certified by the fixed-point residual at the
     step length. Only l1-ball sets grow: a column outside one violates
-    optimality when |g_j| exceeds the least |g| on the support (0 if none)."""
+    optimality when |g_j| exceeds the least |g| on the support (0 if none).
+    Every pass runs to `CERTIFICATE_TOL` (see the module docstring)."""
 
     radius: float
     project: object
+    loose = False
 
     def __post_init__(self):
         if not self.radius >= 0:  # NaN fails too
@@ -350,7 +362,8 @@ def _working_set(x, y, loss, form, cfg, trace=None):
         grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
         cols = _largest(np.abs(grad), _WS_FIRST)
         block = gather(cols)
-        tol = max(tol, _WS_INNER * form.residual(np.zeros(m), grad, eta))
+        if form.loose:
+            tol = max(tol, _WS_INNER * form.residual(np.zeros(m), grad, eta))
     iterations = rejections = 0
     while True:
         sub, report, eta = _descend(block, y, loss, form, replace(
@@ -380,7 +393,8 @@ def _working_set(x, y, loss, form, cfg, trace=None):
             cols, block, tol = None, x, CERTIFICATE_TOL
         else:
             joining = violators[_largest(score[violators], grow)]
-            cols = np.union1d(cols, joining)
+            # disjoint, since score[cols] = 0; np.union1d would import numpy.ma
+            cols = np.sort(np.concatenate((cols, joining)))
             block = gather(cols)
             if tol > CERTIFICATE_TOL:  # once exact, passes stay exact
                 tol = max(CERTIFICATE_TOL, _WS_INNER * res)

@@ -242,6 +242,21 @@ def test_persist_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("alpha, numpy_says", [
+    ("200", "Maximum allowed dimension exceeded"),  # m = 1.6e260
+    ("12", "Unable to allocate 29.1 PiB"),  # m = 4.1e15
+])
+def test_persist_names_alpha_and_m_when_m_is_too_large(
+        alpha, numpy_says, tmp_path, capsys):
+    out = tmp_path / "persist.csv"
+    assert main(["persist", "--ns", "20", "--alpha", alpha, "--reps", "1",
+                 "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha = {float(alpha)} gives m = n^alpha = ")
+    assert "columns at n = 20: " + numpy_says in err
+    assert not out.exists()
+
+
 def test_ridge_demo_cli(tmp_path, capsys):
     out = tmp_path / "ridge.csv"
     assert main(["ridge-demo", "--n", "20", "--m", "10", "--delta", "0.25",

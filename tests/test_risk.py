@@ -96,6 +96,20 @@ def test_coefficients_accessors():
         Coefficients(np.ones((2, 2)))
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 5e-324, 1e300]),
+                max_size=40))
+def test_nonzeros_1based_matches_the_python_loop(entries):
+    beta = Coefficients(np.array(entries))
+    loop = [[int(j) + 1, float(v)] for j, v in enumerate(beta.values)
+            if v != 0.0]
+    pairs = beta.nonzeros_1based()
+    assert pairs == loop
+    assert all(type(j) is int and type(v) is float for j, v in pairs)
+    # -0.0 is a zero, as in the loop, and the pairs decode to the same vector
+    assert np.array_equal(Coefficients.from_1based(beta.m, pairs).values,
+                          beta.values)
+
+
 def test_predict_margin_zero_vector():
     d = Dataset(np.arange(6.0).reshape(3, 2), np.ones(3))
     assert np.all(predict_margin(d, Coefficients.zeros(2)) == 0.0)

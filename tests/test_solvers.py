@@ -2,6 +2,9 @@
 
 import dataclasses
 import inspect
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -423,26 +426,82 @@ def test_designs_up_to_the_cutoff_run_one_full_pass(big_m, first, passes):
     assert passes[0][0] == first
 
 
-def test_passes_stay_exact_after_an_exact_pass(monkeypatch):
-    # without the exact-once rule, the column that joins after the exact
-    # pass reopens a loose pass and then needs a second exact one (100, 200,
-    # 200, 201, 201 columns; 173 iterations)
-    tols = []
+@pytest.fixture
+def tols(monkeypatch):
+    """The stopping tolerance of every descent pass the solvers run."""
+    seen = []
 
     def spy(*args, **kwargs):
         bound = inspect.signature(descend).bind(*args, **kwargs)
         bound.apply_defaults()
-        tols.append(bound.arguments["tol"])
+        seen.append(bound.arguments["tol"])
         return descend(*args, **kwargs)
 
     descend = solvers._descend
     monkeypatch.setattr(solvers, "_descend", spy)
+    return seen
+
+
+def test_passes_stay_exact_after_an_exact_pass(tols):
+    # without the exact-once rule, the column that joins after the exact
+    # pass reopens a loose pass and then needs a second exact one (100, 200,
+    # 200, 201, 201 columns; 173 iterations)
     _, report = solve_penalized(gen_section4(200, 1000, 3), EXPONENTIAL, 0.05)
     assert report.converged
     first_exact = tols.index(CERTIFICATE_TOL)
     assert first_exact < len(tols) - 1
     assert tols[first_exact:] == [CERTIFICATE_TOL] * (len(tols) - first_exact)
     assert report.iterations < 173
+
+
+def test_penalized_fits_start_with_a_loose_pass(tols):
+    _, report = solve_penalized(gen_section4(200, 1000, 3), EXPONENTIAL, 0.05)
+    assert report.converged
+    assert tols[0] > CERTIFICATE_TOL
+    assert tols[-1] == CERTIFICATE_TOL
+
+
+def test_l1_ball_passes_all_run_to_the_certificate(tols):
+    d = gen_null(200, 2000, 1.0, 4)
+    for b in (0.25, 1.0, 2.0):
+        _, report = solve_constrained(d, SQUARED, b)
+        assert report.converged
+    assert len(tols) > 3  # some of the sets grew
+    assert tols == [CERTIFICATE_TOL] * len(tols)
+
+
+def test_an_l1_ball_set_that_holds_its_support_takes_one_pass(passes):
+    # a loose pass would stop after 3 iterations and need a second, exact
+    # pass on the same 100 columns, with a second full-design check
+    _, report = solve_constrained(gen_null(200, 2000, 1.0, 4), SQUARED, 0.25)
+    assert report.converged
+    assert passes == [(_WS_FIRST, report.iterations)]
+
+
+_GROWING_FIT = """
+import json, sys
+from l1risk import solvers
+from l1risk.risk import SQUARED
+from l1risk.simgen import gen_null
+widths = []
+descend = solvers._descend
+def spy(x, *args, **kwargs):
+    widths.append(x.shape[1])
+    return descend(x, *args, **kwargs)
+solvers._descend = spy
+solvers.solve_constrained(gen_null(200, 2000, 1.0, 4), SQUARED, 1.0)
+print(json.dumps([widths, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_a_growing_set_leaves_numpy_ma_unimported():
+    # np.union1d imports numpy.ma on first use, which every fresh process
+    # that grows a set would pay for
+    proc = subprocess.run([sys.executable, "-c", _GROWING_FIT],
+                          capture_output=True, text=True, check=True)
+    widths, imported = json.loads(proc.stdout)
+    assert len(widths) >= 2 and widths[1] > widths[0]
+    assert not imported
 
 
 def test_small_l2_and_absolute_loss_fits_run_one_full_pass(passes):
