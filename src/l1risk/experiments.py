@@ -276,6 +276,8 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
         raise ValueError("need at least one n")
     if any(n < 10 for n in ns):
         raise ValueError("each n must be at least 10")
+    if support_size < 1:
+        raise ValueError("support size k must be at least 1")
     budget = math.sqrt(support_size)
     specs = []
     for n in ns:
@@ -284,11 +286,15 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
         except OverflowError:
             raise ValueError(f"alpha = {alpha} makes n^alpha overflow at "
                              f"n = {n}") from None
+        if support_size > m:
+            raise ValueError(f"support size k = {support_size} exceeds the "
+                             f"m = {m} columns at n = {n}")
         try:
             beta_star = sparse_unit_vector(m, support_size)
         except (ValueError, MemoryError) as e:
-            # numpy's own message names neither alpha nor m (and numpy's
-            # MemoryError subclass takes other arguments)
+            # k is in range, so numpy failed to make the m-vector; its message
+            # names neither alpha nor m (and numpy's MemoryError subclass
+            # takes other arguments)
             kind = MemoryError if isinstance(e, MemoryError) else ValueError
             raise kind(f"alpha = {alpha} gives m = n^alpha = {m:.4g} "
                        f"columns at n = {n}: {e}") from None

@@ -427,55 +427,59 @@ def test_designs_up_to_the_cutoff_run_one_full_pass(big_m, first, passes):
 
 
 @pytest.fixture
-def tols(monkeypatch):
-    """The stopping tolerance of every descent pass the solvers run."""
+def pass_ends(monkeypatch):
+    """(columns, tol, support size, residual on the block) of every descent
+    pass the solvers run."""
     seen = []
 
     def spy(*args, **kwargs):
         bound = inspect.signature(descend).bind(*args, **kwargs)
         bound.apply_defaults()
-        seen.append(bound.arguments["tol"])
-        return descend(*args, **kwargs)
+        beta, report, eta = descend(*args, **kwargs)
+        seen.append((bound.arguments["x"].shape[1], bound.arguments["tol"],
+                     np.count_nonzero(beta), report.kkt_residual))
+        return beta, report, eta
 
     descend = solvers._descend
     monkeypatch.setattr(solvers, "_descend", spy)
     return seen
 
 
-def test_passes_stay_exact_after_an_exact_pass(tols):
+def test_passes_stay_exact_after_an_exact_pass(pass_ends):
     # without the exact-once rule, the column that joins after the exact
     # pass reopens a loose pass and then needs a second exact one (100, 200,
     # 200, 201, 201 columns; 173 iterations)
     _, report = solve_penalized(gen_section4(200, 1000, 3), EXPONENTIAL, 0.05)
     assert report.converged
+    tols = [tol for _, tol, _, _ in pass_ends]
     first_exact = tols.index(CERTIFICATE_TOL)
-    assert first_exact < len(tols) - 1
+    assert 0 < first_exact < len(tols) - 1
     assert tols[first_exact:] == [CERTIFICATE_TOL] * (len(tols) - first_exact)
     assert report.iterations < 173
 
 
-def test_penalized_fits_start_with_a_loose_pass(tols):
-    _, report = solve_penalized(gen_section4(200, 1000, 3), EXPONENTIAL, 0.05)
-    assert report.converged
-    assert tols[0] > CERTIFICATE_TOL
-    assert tols[-1] == CERTIFICATE_TOL
-
-
-def test_l1_ball_passes_all_run_to_the_certificate(tols):
+def test_an_l1_ball_pass_stops_loose_only_once_its_support_fills_half_the_set(
+        pass_ends):
     d = gen_null(200, 2000, 1.0, 4)
-    for b in (0.25, 1.0, 2.0):
-        _, report = solve_constrained(d, SQUARED, b)
-        assert report.converged
-    assert len(tols) > 3  # some of the sets grew
-    assert tols == [CERTIFICATE_TOL] * len(tols)
-
-
-def test_an_l1_ball_set_that_holds_its_support_takes_one_pass(passes):
-    # a loose pass would stop after 3 iterations and need a second, exact
-    # pass on the same 100 columns, with a second full-design check
-    _, report = solve_constrained(gen_null(200, 2000, 1.0, 4), SQUARED, 0.25)
+    # 11 of 100 columns: one pass runs on past its loose tolerance (reached
+    # after 3 iterations), where stopping there would take a second pass on
+    # the same set and a second full-design check
+    _, report = solve_constrained(d, SQUARED, 0.25)
     assert report.converged
-    assert passes == [(_WS_FIRST, report.iterations)]
+    [(cols, tol, support, res)] = pass_ends
+    assert tol > CERTIFICATE_TOL >= res and support <= cols / 2
+    # 68 of 100 columns: the first pass stops at its loose tolerance
+    pass_ends.clear()
+    _, report = solve_constrained(d, SQUARED, 2.0)
+    assert report.converged
+    cols, tol, support, res = pass_ends[0]
+    assert tol >= res > CERTIFICATE_TOL and support > cols / 2
+    ball, beta = _Ball(1.0, project_l1), np.zeros(100)
+    beta[:50] = 0.01
+    assert not ball.stops_loose(beta)
+    beta[50] = 0.01
+    assert ball.stops_loose(beta)
+    assert _L1Penalty(0.1).stops_loose(np.zeros(100))
 
 
 _GROWING_FIT = """

@@ -46,6 +46,10 @@ CASES = {
     "persist alpha overflow": (lambda: persistence_curve([20], 400.0, 2, 1,
                                                          CFG), "alpha"),
     "persist empty": (lambda: persistence_curve([], 1.2, 2, 1, CFG), "one n"),
+    "persist k zero": (lambda: persistence_curve([20], 1.2, 0, 1, CFG),
+                       "support size k must be at least 1"),
+    "persist k above m": (lambda: persistence_curve([20], 1.2, 38, 1, CFG),
+                          "k = 38 exceeds the m = 37 columns at n = 20"),
     "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, CFG,
                                                 sigma=NAN), "sigma"),
     "ridge delta": (lambda: ridge_vs_l1_demo(20, 10, 1.0, NAN, [0.5], 1, CFG),
