@@ -25,6 +25,7 @@ from l1risk.experiments import (
 )
 from l1risk.io import (
     atomic_write_text,
+    cache_path,
     meta_path,
     read_coefficients,
     read_dataset,
@@ -257,7 +258,8 @@ def cmd_simgen(args) -> int:
     spec = ScenarioSpec(args.scenario.replace("-", "_"), args.n, params)
     d = generate(spec, args.seed)
     write_dataset(d, args.out)
-    print(f"wrote {args.out} (n={d.n}, m={d.m}) and {meta_path(args.out)}")
+    print(f"wrote {args.out} (n={d.n}, m={d.m}), {cache_path(args.out)} "
+          f"and {meta_path(args.out)}")
     return 0
 
 

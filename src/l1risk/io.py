@@ -10,8 +10,19 @@ failures never leave partial output behind.
 Dataset files are handled in bounded memory: rows are formatted and written
 one at a time, so a write holds one row's text rather than the whole file,
 and a read holds one design, the parsed table with x moved into place, not
-the table plus a copy of x. A file that cannot be parsed is a ValueError
-that names it.
+the table plus a copy of x. A file that cannot be parsed, or that holds a
+nonfinite entry, is a ValueError that names it.
+
+Next to each dataset CSV the writer leaves `<stem>.cache.npy`: three
+`np.save` records holding the sha256 of the CSV's bytes, y and x. A read
+streams the CSV through sha256 and, when the digest matches, loads y and x
+from the cache instead of parsing the text (the parse dominates a cold
+command's time). A missing, unreadable or malformed cache, or one whose
+digest names other bytes, is ignored and the CSV is parsed, so a CSV edited
+by hand or written by another tool reads exactly as before, and deleting
+the cache is always safe. The cache is written after the CSV and before the
+meta sidecar, so a crash between the files leaves a stale digest, never a
+cache that disagrees with its CSV.
 """
 from __future__ import annotations
 
@@ -33,18 +44,20 @@ if TYPE_CHECKING:
     from l1risk.solvers import SolveReport
 
 _SHIFT_BLOCK = 8192  # values per block when a read moves x into place (64 KiB)
+_HASH_CHUNK = 1 << 16  # bytes per read when a CSV is hashed (64 KiB)
 
 
 @contextlib.contextmanager
-def _atomic_writer(path):
-    """Yield a text file that replaces path, via a same-directory temp file
-    and an atomic rename, only if the block completes; otherwise the temp
-    file is removed and path is left as it was."""
+def _atomic_writer(path, mode="w"):
+    """Yield a file opened with mode ("w" text, "wb" binary) that replaces
+    path, via a same-directory temp file and an atomic rename, only if the
+    block completes; otherwise the temp file is removed and path is left as
+    it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, mode, newline="" if mode == "w" else None) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -65,6 +78,12 @@ def meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def cache_path(path) -> Path:
+    """Binary copy of a dataset CSV: <stem>.cache.npy."""
+    path = Path(path)
+    return path.with_name(path.stem + ".cache.npy")
+
+
 def _json_text(record) -> str:
     return json.dumps(record, indent=2) + "\n"
 
@@ -81,9 +100,21 @@ def _read_json_object(path) -> dict:
     return record
 
 
+def _csv_digest(path) -> bytes:
+    """sha256 of the file's bytes, read a chunk at a time."""
+    import hashlib  # here, not at import: only dataset files are hashed
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
+    return h.digest()
+
+
 def write_dataset(d: Dataset, path) -> None:
-    """CSV with header y,x1,...,xm plus the meta sidecar; without meta, a
-    sidecar left at the path is removed so it cannot be read back."""
+    """CSV with header y,x1,...,xm, its binary cache, and the meta sidecar;
+    without meta, a sidecar left at the path is removed so it cannot be read
+    back."""
     # serialize the meta before the CSV is replaced, so a meta that is not
     # JSON leaves the old pair in place rather than new rows with old meta
     side = _json_text(d.meta) if d.meta else None
@@ -92,6 +123,10 @@ def write_dataset(d: Dataset, path) -> None:
         # repr of a Python float round-trips; one row's text at a time
         for y, row in zip(d.y.tolist(), d.x):
             fh.write(",".join(map(repr, [y] + row.tolist())) + "\n")
+    digest = np.frombuffer(_csv_digest(path), dtype=np.uint8)
+    with _atomic_writer(cache_path(path), "wb") as fh:
+        for record in (digest, d.y, d.x):
+            np.save(fh, record, allow_pickle=False)
     if side is None:
         meta_path(path).unlink(missing_ok=True)
     else:
@@ -123,9 +158,31 @@ def _bad_line(path, header):
     return None
 
 
-def read_dataset(path) -> Dataset:
-    """Read a dataset CSV; meta comes from the sidecar when present."""
-    path = Path(path)
+def _read_cache(path):
+    """(x, y) from the dataset's cache when it holds the digest of the CSV's
+    current bytes and two float64 arrays of matching shapes; None when it is
+    missing, unreadable, malformed or stale."""
+    cache = cache_path(path)
+    if not cache.is_file():
+        return None
+    digest = _csv_digest(path)
+    try:
+        with open(cache, "rb") as fh:
+            stored = np.lib.format.read_array(fh, allow_pickle=False)
+            if stored.dtype != np.uint8 or stored.tobytes() != digest:
+                return None
+            y = np.lib.format.read_array(fh, allow_pickle=False)
+            x = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if x.dtype != float or y.dtype != float or x.ndim != 2 \
+            or y.shape != x.shape[:1]:
+        return None
+    return x, y
+
+
+def _parse_csv(path):
+    """(x, y) parsed from the dataset CSV's text."""
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header[0] != "y":
@@ -156,11 +213,22 @@ def read_dataset(path) -> Dataset:
     for a in range(0, n, rows):
         b = min(n, a + rows)
         flat[a * m:b * m].reshape(b - a, m)[...] = data[a:b, 1:]
+    return flat[:n * m].reshape(n, m), y
+
+
+def read_dataset(path) -> Dataset:
+    """Read a dataset CSV, from its cache when that holds the CSV's digest;
+    meta comes from the sidecar when present."""
+    path = Path(path)
+    x, y = _read_cache(path) or _parse_csv(path)
     meta = None
     side = meta_path(path)
     if side.exists():
         meta = _read_json_object(side)
-    return Dataset(flat[:n * m].reshape(n, m), y, meta)
+    try:
+        return Dataset(x, y, meta)
+    except ValueError as e:  # a nonfinite entry
+        raise ValueError(f"{path}: {e}") from e
 
 
 def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
@@ -195,10 +263,12 @@ def read_coefficients(path) -> tuple[Coefficients, dict]:
     """Read coefficient JSON back; returns (coefficients, full record)."""
     record = _read_json_object(path)
     try:
-        beta = Coefficients.from_1based(int(record["m"]), record["nonzeros"])
+        beta = Coefficients.from_1based(record["m"], record["nonzeros"])
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: 'm' must be an integer and 'nonzeros' a "
                          "list of [index, value] pairs") from e
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: {e}") from e
     return beta, record
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -21,6 +22,17 @@ def _all_finite(a: np.ndarray) -> bool:
     flat = a.reshape(-1)
     return all(np.isfinite(flat[i:i + _FINITE_BLOCK]).all()
                for i in range(0, flat.size, _FINITE_BLOCK))
+
+
+def _is_number(v) -> bool:
+    """Whether v is a real number; a bool (JSON true or false) is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_whole(v) -> bool:
+    """Whether v is a number with no fractional part (3 or 3.0, not 2.9)."""
+    return _is_number(v) and (isinstance(v, numbers.Integral)
+                              or float(v).is_integer())
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,26 @@ class Coefficients:
     @classmethod
     def from_1based(cls, m: int, pairs) -> "Coefficients":
         """Length-m coefficients from 1-based [index, value] pairs (the file
-        formats' encoding); indices outside 1..m are rejected."""
+        formats' encoding). m and each index must be whole numbers, each
+        index in 1..m and given once, and each value a number; booleans and
+        strings are rejected rather than converted."""
+        if not _is_whole(m):
+            raise ValueError(f"coefficient dimension {m!r} is not a whole "
+                             "number")
         values = np.zeros(int(m))
+        seen = set()
         for idx, v in pairs:
-            if not 1 <= int(idx) <= m:
+            if not _is_whole(idx):
+                raise ValueError(f"coefficient index {idx!r} is not a whole "
+                                 "number")
+            if not 1 <= idx <= m:
                 raise ValueError(f"coefficient index {idx} outside 1..{m}")
+            if int(idx) in seen:
+                raise ValueError(f"coefficient index {idx} appears twice")
+            if not _is_number(v):
+                raise ValueError(f"coefficient value {v!r} at index {idx} "
+                                 "is not a number")
+            seen.add(int(idx))
             values[int(idx) - 1] = float(v)
         return cls(values)
 

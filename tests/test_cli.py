@@ -60,7 +60,9 @@ def test_simgen_is_byte_identical_across_runs(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.meta.json").read_bytes() == \
         (tmp_path / "b.meta.json").read_bytes()
-    assert "wrote" in capsys.readouterr().out
+    assert (tmp_path / "a.cache.npy").read_bytes() == \
+        (tmp_path / "b.cache.npy").read_bytes()
+    assert "a.cache.npy" in capsys.readouterr().out
 
 
 def test_simgen_writes_every_scenario(tmp_path, capsys):
@@ -315,6 +317,10 @@ MALFORMED_COEFFICIENTS = {
     "null index": {"m": 4, "nonzeros": [[None, 1.0]]},
     "null m": {"m": None, "nonzeros": []},
     "record a list": [1, 2],
+    # read at the parent as beta = (2, 1, 0, 0, 0) and exited 0
+    "duplicate, fractional and boolean indices": {
+        "m": 5, "nonzeros": [[1, 0.5], [1, 0.7], [2.9, 1.0], [True, 2.0]]},
+    "string index and value": {"m": 5, "nonzeros": [["3", "1e0"]]},
     # 7 PiB of zeros: numpy refuses the request at once
     "m too large to allocate": {"m": 10 ** 15, "nonzeros": []},
 }

@@ -1,6 +1,7 @@
 """File formats: round trips, exact headers, atomicity."""
 
 import csv
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from l1risk.io import (
     RIDGE_HEADER,
     SWEEP_HEADER,
     atomic_write_text,
+    cache_path,
     meta_path,
     read_coefficients,
     read_dataset,
@@ -79,12 +81,15 @@ def test_dataset_io_holds_bounded_memory(tmp_path):
     assert write_peak <= 0.05 * p.stat().st_size  # a row's text, not the file's
     back, read_peak = _traced_peak(read_dataset, p)
     assert read_peak <= 1.3 * back.x.nbytes  # the parsed table, no x copy
+    cache_path(p).unlink()  # the read above loaded the cache; now parse
+    _, parse_peak = _traced_peak(read_dataset, p)
+    assert parse_peak <= 1.3 * back.x.nbytes
 
 
 def test_failed_dataset_write_leaves_the_old_files(tmp_path):
     p = tmp_path / "d.csv"
     write_dataset(gen_null(5, 2, 1.0, seed=1), p)
-    before = p.read_bytes(), meta_path(p).read_bytes()
+    before = p.read_bytes(), cache_path(p).read_bytes(), meta_path(p).read_bytes()
 
     def rows():  # fails after some rows have reached the temp file
         yield from np.ones((3, 2))
@@ -98,8 +103,105 @@ def test_failed_dataset_write_leaves_the_old_files(tmp_path):
     unserializable = Dataset(np.ones((3, 2)), np.zeros(3), {"seed": np.int64(7)})
     with pytest.raises(TypeError):
         write_dataset(unserializable, p)
-    assert (p.read_bytes(), meta_path(p).read_bytes()) == before
+    assert (p.read_bytes(), cache_path(p).read_bytes(),
+            meta_path(p).read_bytes()) == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _parsed(p):
+    """read_dataset(p) through the CSV parser, the cache set aside."""
+    cache = cache_path(p)
+    aside = cache.with_name("aside.npy")
+    cache.rename(aside)
+    try:
+        return read_dataset(p)
+    finally:
+        aside.rename(cache)
+
+
+def _write_cache(p, *records):
+    with open(cache_path(p), "wb") as fh:
+        for record in records:
+            np.save(fh, record)  # pickles an object array
+
+
+def _csv_digest(p):
+    return np.frombuffer(hashlib.sha256(p.read_bytes()).digest(), np.uint8)
+
+
+def test_a_dataset_read_from_its_cache_equals_the_parse(tmp_path, monkeypatch):
+    d = gen_section4(30, 25, seed=4)
+    p = tmp_path / "d.csv"
+    write_dataset(d, p)
+    parsed = _parsed(p)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed a CSV that has a current cache")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    cached = read_dataset(p)
+    monkeypatch.undo()
+    assert cached.x.tobytes() == parsed.x.tobytes() == d.x.tobytes()
+    assert cached.y.tobytes() == parsed.y.tobytes() == d.y.tobytes()
+    assert cached.x.shape == parsed.x.shape and cached.x.flags.c_contiguous
+    assert cached.meta == parsed.meta == d.meta
+    # the cache is the CSV's digest, then y, then x
+    with open(cache_path(p), "rb") as fh:
+        records = [np.load(fh) for _ in range(3)]
+        assert fh.read() == b""
+    assert records[0].tobytes() == _csv_digest(p).tobytes()
+    assert records[1].tobytes() == d.y.tobytes()
+    assert records[2].tobytes() == d.x.tobytes()
+
+
+def test_a_csv_edited_after_the_write_reads_with_the_edit(tmp_path):
+    p = tmp_path / "d.csv"
+    write_dataset(Dataset(np.array([[1.5, 2.5]]), np.array([0.5])), p)
+    text = p.read_text()
+    p.write_text(text.replace("2.5", "2.7"))  # same length, one digit
+    assert read_dataset(p).x.tolist() == [[1.5, 2.7]]
+
+
+def test_a_truncated_cache_falls_back_to_the_parse(tmp_path):
+    d = gen_null(20, 30, 1.0, seed=2)
+    p = tmp_path / "d.csv"
+    write_dataset(d, p)
+    full = cache_path(p).read_bytes()
+    for size in (0, 40, 200, len(full) // 2, len(full) - 1):
+        cache_path(p).write_bytes(full[:size])
+        back = read_dataset(p)
+        assert back.x.tobytes() == d.x.tobytes()
+        assert back.y.tobytes() == d.y.tobytes()
+
+
+def test_a_cache_left_by_another_csv_falls_back_to_the_parse(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_dataset(gen_null(8, 3, 1.0, seed=1), a)
+    write_dataset(gen_null(8, 3, 1.0, seed=2), b)
+    cache_path(a).write_bytes(cache_path(b).read_bytes())
+    assert read_dataset(a).x.tobytes() == _parsed(a).x.tobytes()
+    assert read_dataset(a).x.tobytes() != read_dataset(b).x.tobytes()
+
+
+def test_a_malformed_cache_falls_back_to_the_parse(tmp_path):
+    d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0]))
+    p = tmp_path / "d.csv"
+    write_dataset(d, p)
+    digest, other_x = _csv_digest(p), np.array([[9.0, 9.0], [9.0, 9.0]])
+    for records in (
+            # an object array is never unpickled
+            (digest, d.y, other_x.astype(object)),
+            (digest, d.y, other_x.astype(np.float32)),
+            (digest, d.y, other_x.astype(">f8")),
+            (digest, d.y, other_x.ravel()),
+            (digest, d.y[:1], other_x),
+            (digest.astype(np.int64), d.y, other_x)):
+        _write_cache(p, *records)
+        back = read_dataset(p)
+        assert back.x.tolist() == d.x.tolist()
+        assert back.y.tolist() == d.y.tolist()
+    cache_path(p).write_bytes(b"PK\x03\x04 not an npy file")
+    assert read_dataset(p).x.tolist() == d.x.tolist()
 
 
 def test_dataset_full_float_precision(tmp_path):
@@ -161,6 +263,16 @@ def test_read_dataset_rejects_bad_input(tmp_path):
             read_dataset(p)
         assert str(caught.value) == (f"{p}: line {line}, column x2: 'abc' "
                                      "is not a number")
+    # a nonfinite entry is named with the file, whether parsed or cached
+    for body in ("y,x1\n1.0,nan\n", "y,x1\n1e400,2.0\n"):
+        p.write_text(body)
+        with pytest.raises(ValueError) as caught:
+            read_dataset(p)
+        assert str(caught.value) == f"{p}: dataset entries must all be finite"
+    _write_cache(p, _csv_digest(p), np.array([np.inf]), np.array([[2.0]]))
+    with pytest.raises(ValueError) as caught:
+        read_dataset(p)
+    assert str(caught.value) == f"{p}: dataset entries must all be finite"
     with pytest.raises(OSError):
         read_dataset(tmp_path / "absent.csv")
 
@@ -177,10 +289,26 @@ def test_coefficients_round_trip(tmp_path):
     assert record["l1"] == pytest.approx(3.75)
     assert record["params"] == {"lambda": 0.1}
     assert "report" not in record
-    for index in (0, 5):  # 1-based: 0 would silently wrap to the last entry
-        p.write_text(json.dumps({"m": 4, "nonzeros": [[index, 1.0]]}))
-        with pytest.raises(ValueError):
+    # 1-based: 0 would silently wrap to the last entry; the rest would be
+    # silently converted, or a later pair would overwrite an earlier one
+    for nonzeros in ([[0, 1.0]], [[5, 1.0]],
+                     [[1, 0.5], [1, 0.7]],  # a duplicate index
+                     [[2.9, 1.0]],  # a non-integral index
+                     [[True, 2.0]],  # a boolean index
+                     [["3", 1.0]], [[3, "1e0"]], [["3", "1e0"]],  # strings
+                     [[3, False]]):
+        p.write_text(json.dumps({"m": 4, "nonzeros": nonzeros}))
+        with pytest.raises(ValueError) as caught:
             read_coefficients(p)
+        assert str(caught.value).startswith(f"{p}: ")
+    for m in ("4", 4.5, True):
+        p.write_text(json.dumps({"m": m, "nonzeros": []}))
+        with pytest.raises(ValueError) as caught:
+            read_coefficients(p)
+        assert str(caught.value).startswith(f"{p}: ")
+    # a whole-number float is still an index, as other JSON writers emit it
+    p.write_text(json.dumps({"m": 4.0, "nonzeros": [[3.0, 1]]}))
+    assert read_coefficients(p)[0].values.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_coefficients_embed_the_solver_report(tmp_path, hadamard):
