@@ -8,7 +8,6 @@ output, not treated as an error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -43,7 +42,6 @@ from l1risk.simgen import (
     ScenarioSpec,
     VARIANCE_CONVENTIONS,
     generate,
-    population_risk,
     scenario_of,
     sparse_unit_vector,
 )
@@ -89,16 +87,9 @@ def parse_lambda_grid(text: str) -> list:
     return grid
 
 
-def _parse_floats(text: str, flag: str) -> list:
+def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise ArgError(f"bad {flag} value {text!r}") from None
-
-
-def _parse_ints(text: str, flag: str) -> list:
-    try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise ArgError(f"bad {flag} value {text!r}") from None
 
@@ -340,7 +331,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_persist(args) -> int:
-    ns = _parse_ints(args.ns, "--ns")
+    ns = _parse_list(args.ns, "--ns", int)
     points = persistence_curve(ns, args.alpha, args.k, args.reps,
                                _solve_config(args), args.seed, args.sigma,
                                progress=_progress("rep"))
@@ -352,7 +343,7 @@ def cmd_persist(args) -> int:
 
 
 def cmd_ridge_demo(args) -> int:
-    budgets = _parse_floats(args.budgets, "--budgets")
+    budgets = _parse_list(args.budgets, "--budgets", float)
     cmp = ridge_vs_l1_demo(args.n, args.m, args.sigma, args.delta, budgets,
                            args.reps, _solve_config(args), args.seed,
                            progress=_progress("rep"))
@@ -374,10 +365,13 @@ def cmd_deviation(args) -> int:
         if args.loss != "squared":
             raise ArgError("closed-form reference needs --loss squared; "
                            "pass --oracle-data otherwise")
-        spec = scenario_of(d)
+        try:
+            spec = scenario_of(d)
+        except ValueError as e:
+            raise ValueError(f"{meta_path(args.data)}: {e}") from e
         if spec is None or spec.kind == "section4":
             raise ArgError("no closed form for this dataset; pass --oracle-data")
-        reference = functools.partial(population_risk, spec)
+        reference = spec
         ref_kind = {"closed_form": True, "sigma": spec.params["sigma"]}
     value = sup_deviation(d, args.probes, args.k, args.radius, loss,
                           reference, args.seed)

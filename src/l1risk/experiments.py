@@ -374,13 +374,14 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
 
 
 def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
-                  loss: LossSpec, eval_oracle, seed: int = 0) -> float:
+                  loss: LossSpec, reference, seed: int = 0) -> float:
     """Largest |training risk - reference risk| over random sparse probes.
 
     Probes draw a uniform size-k support and entries uniform in
-    [-radius, radius] from stream [seed, probe_index]. eval_oracle is either
-    a large fresh Dataset or a callable mapping Coefficients to the exact
-    population risk.
+    [-radius, radius] from stream [seed, probe_index]. The reference is a
+    large fresh Dataset, scored by its empirical risk, or the ScenarioSpec
+    that drew train, scored by the exact `population_risk`; a spec needs
+    the squared loss and a scenario with that closed form (not section4).
     """
     if probe_count < 1:
         raise ValueError("probe_count must be positive")
@@ -388,8 +389,12 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
         raise ValueError("need 1 <= k <= m")
     if not 0 <= radius < np.inf:  # NaN fails too
         raise ValueError("radius must be nonnegative and finite")
-    reference = eval_oracle if callable(eval_oracle) else \
-        (lambda b: empirical_risk(eval_oracle, b, loss))
+    exact = isinstance(reference, ScenarioSpec)
+    if exact and (loss.kind != "squared" or reference.kind == "section4"):
+        raise ValueError("a ScenarioSpec reference needs the squared loss "
+                         "and a scenario other than section4")
+    if not exact and not isinstance(reference, Dataset):
+        raise TypeError("reference must be a Dataset or a ScenarioSpec")
     worst = 0.0
     for p in range(probe_count):
         rng = np.random.default_rng([seed, p])
@@ -397,7 +402,7 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
         values = np.zeros(train.m)
         values[support] = rng.uniform(-radius, radius, size=k)
         beta = Coefficients(values)
-        gap = abs(empirical_risk(train, beta, loss) - float(reference(beta)))
-        worst = max(worst, gap)
+        ref = population_risk(reference, beta) if exact \
+            else empirical_risk(reference, beta, loss)
+        worst = max(worst, abs(empirical_risk(train, beta, loss) - ref))
     return worst
-

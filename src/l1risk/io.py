@@ -13,6 +13,9 @@ and a read holds one design, the parsed table with x moved into place, not
 the table plus a copy of x. A file that cannot be parsed, or that holds a
 nonfinite entry, is a ValueError that names it.
 
+Every output file gets the mode a plain `open` would give it: 0o666 less the
+umask the process had when this module was imported.
+
 Next to each dataset CSV the writer leaves `<stem>.cache.npy`: three
 `np.save` records holding the sha256 of the CSV's bytes, y and x. A read
 streams the CSV through sha256 and, when the digest matches, loads y and x
@@ -47,6 +50,23 @@ _SHIFT_BLOCK = 8192  # values per block when a read moves x into place (64 KiB)
 _HASH_CHUNK = 1 << 16  # bytes per read when a CSV is hashed (64 KiB)
 
 
+def _umask() -> int:
+    """The process umask, read from /proc where it shows it; otherwise set
+    and restored, which is safe only here at import: during a write another
+    thread could create a file under the temporary mask."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1], 8) for line in fh
+                        if line.startswith("Umask:"))
+    except (OSError, StopIteration):
+        mask = os.umask(0o077)
+        os.umask(mask)
+        return mask
+
+
+_FILE_MODE = 0o666 & ~_umask()
+
+
 @contextlib.contextmanager
 def _atomic_writer(path, mode="w"):
     """Yield a file opened with mode ("w" text, "wb" binary) that replaces
@@ -59,6 +79,7 @@ def _atomic_writer(path, mode="w"):
     try:
         with os.fdopen(fd, mode, newline="" if mode == "w" else None) as fh:
             yield fh
+        os.chmod(tmp, _FILE_MODE)  # mkstemp made it owner-only
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,12 +6,13 @@ guarantee. A budget on the number of evaluated candidates rejects instances
 that are too large instead of silently sampling.
 
 Subset fits: squared loss solves each subset by least squares, and absolute
-loss runs the solvers' descent on the l2 ball of infinite radius (the
-problem `solve_ridge_constrained(..., inf)` poses). Exponential-loss subsets
-are fit together by damped Newton (Boyd & Vandenberghe, Convex Optimization,
-9.5). The signed columns y * x_S of a chunk of subsets are stacked into one
-(subsets, k, n) array of at most `_CHUNK_BYTES`, and each step forms every
-gradient and k x k Hessian at once. Each Newton system is solved through an
+loss fits the subset's columns, as a dataset of their own, with
+`solve_ridge_constrained(..., inf)`: an l2 ball of infinite radius.
+Exponential-loss subsets are fit together by damped Newton (Boyd &
+Vandenberghe, Convex Optimization, 9.5). The signed columns y * x_S of a
+chunk of subsets are stacked into one (subsets, k, n) array of at most
+`_CHUNK_BYTES`, and each step forms every gradient and k x k Hessian at
+once. Each Newton system is solved through an
 eigendecomposition whose tiny eigenvalues count as zero, so a singular
 Hessian (a zero or repeated column) gets the least-norm step instead of an
 error. Each subset backtracks its own step from 1 until Armijo's condition
@@ -42,7 +43,7 @@ import numpy as np
 from l1risk.risk import EXPONENTIAL, Coefficients, Dataset, LossSpec, \
     loss_terms
 from l1risk.solvers import CERTIFICATE_TOL, SolveConfig, _ARMIJO, \
-    _BACKTRACK, _MAX_BACKTRACKS, _Ball, _descend, project_l2
+    _BACKTRACK, _MAX_BACKTRACKS, solve_ridge_constrained
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -92,8 +93,9 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
         residual = d.y - xs @ values
         return values, float((residual * residual).mean())
     # nonsmooth: the subgradient descent almost never certifies and stalls
-    beta, report, _ = _descend(xs, d.y, loss, _Ball(np.inf, project_l2), _SUBSET_CFG)
-    return beta, report.objective
+    beta, report = solve_ridge_constrained(Dataset(xs, d.y), loss, np.inf,
+                                           _SUBSET_CFG)
+    return beta.values, report.objective
 
 
 def _newton_directions(hess, grad):

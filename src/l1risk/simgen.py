@@ -176,7 +176,8 @@ def scenario_of(d: Dataset) -> ScenarioSpec | None:
     None when the meta names no scenario (no sidecar, or not a generator's).
     With the seed in the meta, `generate` redraws d bit for bit. Raises
     ValueError when the meta names a scenario but its params are not the
-    object that scenario's generator records."""
+    object that scenario's generator records, or give other than d.m
+    columns."""
     meta = d.meta or {}
     kind = meta.get("scenario")
     if kind not in SCENARIO_KINDS:
@@ -190,13 +191,15 @@ def scenario_of(d: Dataset) -> ScenarioSpec | None:
                       "variance_convention": p["variance_convention"]}
         else:
             params = {"m": int(p["m"]), "sigma": float(p["sigma"])}
-            if kind == "sparse_linear":
-                params["beta_star"] = Coefficients.from_1based(
-                    params["m"], p["beta_star"])
-    except (KeyError, TypeError) as e:
+        m = params["big_m"] + 5 if kind == "section4" else params["m"]
+        if m != d.m:
+            raise ValueError(f"they give {m} columns, the dataset has {d.m}")
+        if kind == "sparse_linear":
+            params["beta_star"] = Coefficients.from_1based(m, p["beta_star"])
+        return ScenarioSpec(kind, d.n, params)
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{kind} meta: a field of 'params' is missing or "
-                         f"mistyped ({e})") from e
-    return ScenarioSpec(kind, d.n, params)
+                         f"invalid ({e})") from e
 
 
 def population_risk(spec: ScenarioSpec, beta: Coefficients) -> float:

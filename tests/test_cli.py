@@ -344,6 +344,16 @@ MALFORMED_SIDECARS = {
     "params a list": {"scenario": "sparse_linear", "params": [1]},
     "params missing": {"scenario": "null"},
     "null m": {"scenario": "null", "params": {"m": None, "sigma": 1.0}},
+    "repeated beta_star index": {"scenario": "sparse_linear", "params": {
+        "m": 6, "sigma": 0.1, "beta_star": [[1, 0.5], [1, 0.5]]}},
+    "beta_star a string": {"scenario": "sparse_linear", "params": {
+        "m": 6, "sigma": 0.1, "beta_star": "x"}},
+    "m a word": {"scenario": "sparse_linear", "params": {
+        "m": "six", "sigma": 0.1, "beta_star": []}},
+    # 6 columns in the CSV: this used to fail only at the first probe
+    "m one too many": {"scenario": "null", "params": {"m": 7, "sigma": 1.0}},
+    "big_m one too many": {"scenario": "section4", "params": {
+        "big_m": 2, "variance_convention": "var"}},
 }
 
 
@@ -354,7 +364,8 @@ def test_deviation_rejects_a_malformed_sidecar(sidecar, linear_csv, capsys):
     assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
                  "--seed", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {linear_csv.with_name('train.meta.json')}: ")
+    assert "Traceback" not in err
 
 
 def test_parse_errors_name_the_file(linear_csv, tmp_path, capsys):

@@ -18,7 +18,8 @@ from l1risk.experiments import (
     ridge_vs_l1_demo,
     sup_deviation,
 )
-from l1risk.risk import EXPONENTIAL, SQUARED, empirical_risk, group_l1
+from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, empirical_risk, \
+    group_l1
 from l1risk.simgen import ScenarioSpec, gen_null, generate, population_risk
 from l1risk.solvers import SolveConfig, solve_penalized
 
@@ -327,15 +328,14 @@ def test_sup_deviation_against_itself_is_zero():
     assert sup_deviation(d, 20, 3, 0.5, SQUARED, d, seed=1) == 0.0
 
 
-def test_sup_deviation_callable_matches_dataset_oracle():
+def test_sup_deviation_spec_reference_agrees_with_a_large_dataset():
     train = gen_null(60, 6, 1.0, seed=7)
-    big = gen_null(500, 6, 1.0, seed=8)
-    via_callable = sup_deviation(
-        train, 15, 2, 0.5, SQUARED,
-        lambda b: empirical_risk(big, b, SQUARED), seed=2)
+    spec = ScenarioSpec("null", 60, {"m": 6, "sigma": 1.0})
+    big = gen_null(100_000, 6, 1.0, seed=8)
+    via_spec = sup_deviation(train, 15, 2, 0.5, SQUARED, spec, seed=2)
     via_dataset = sup_deviation(train, 15, 2, 0.5, SQUARED, big, seed=2)
-    assert via_callable == pytest.approx(via_dataset)
-    assert via_callable > 0.0
+    assert via_spec == pytest.approx(via_dataset, abs=0.02)
+    assert via_spec > 0.1
 
 
 def test_sup_deviation_shrinks_with_sample_size():
@@ -343,10 +343,25 @@ def test_sup_deviation_shrinks_with_sample_size():
     gaps = []
     for n in (200, 800, 3200):
         train = gen_null(n, 20, 1.0, seed=9)
-        gaps.append(sup_deviation(
-            train, 40, 3, 0.5, SQUARED,
-            lambda b: population_risk(null, b), seed=3))
+        gaps.append(sup_deviation(train, 40, 3, 0.5, SQUARED, null, seed=3))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_sup_deviation_checks_its_reference_before_any_probe(monkeypatch):
+    d = gen_null(30, 5, 1.0, seed=10)
+    null = ScenarioSpec("null", 30, {"m": 5, "sigma": 1.0})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no probe may be drawn")
+
+    monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+    for loss, spec in ((EXPONENTIAL, null), (ABSOLUTE, null),
+                       (SQUARED, ScenarioSpec("section4", 30, {"big_m": 25}))):
+        with pytest.raises(ValueError, match="ScenarioSpec reference"):
+            sup_deviation(d, 5, 2, 0.5, loss, spec)
+    with pytest.raises(TypeError):
+        sup_deviation(d, 5, 2, 0.5, SQUARED,
+                      lambda b: population_risk(null, b))
 
 
 def test_sup_deviation_validation():

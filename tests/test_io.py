@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -395,6 +397,32 @@ def test_atomic_write_success_and_no_debris(tmp_path):
     atomic_write_text(p, "replaced\n")
     assert p.read_text() == "replaced\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+_WRITE_EVERY_KIND = """
+import os, sys
+from l1risk.cli import main
+os.chdir(sys.argv[1])
+for argv in (
+        ["simgen", "--scenario", "null", "--n", "20", "--m", "4", "--seed",
+         "1", "--out", "d.csv"],
+        ["solve", "--data", "d.csv", "--lambda", "0.1", "--out", "fit.json"],
+        ["persist", "--ns", "20", "--reps", "1", "--seed", "1", "--out",
+         "p.csv"]):
+    assert main(argv) == 0
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask 022", "umask 077"])
+def test_outputs_get_the_mode_the_umask_allows(umask, mode, tmp_path):
+    subprocess.run([sys.executable, "-c", _WRITE_EVERY_KIND, str(tmp_path)],
+                   umask=umask, check=True, capture_output=True)
+    names = ["d.csv", "d.cache.npy", "d.meta.json", "fit.json", "p.csv",
+             "p.meta.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_atomic_write_failure_leaves_no_temp_files(tmp_path):

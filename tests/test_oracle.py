@@ -13,7 +13,7 @@ from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, Coefficients, \
     Dataset, empirical_risk
 from l1risk.simgen import ScenarioSpec, gen_null, gen_section4, generate, \
     sparse_unit_vector
-from l1risk.solvers import solve_penalized
+from l1risk.solvers import _Ball, _descend, project_l2, solve_penalized
 
 
 def test_best_subset_recovers_an_exact_single_column_fit():
@@ -209,6 +209,22 @@ def test_absolute_loss_best_subset_is_the_first_argmin_over_chunks(monkeypatch):
     assert not sol.unbounded
 
 
+@pytest.mark.parametrize("d", [gen_section4(20, 25, 2),
+                               gen_null(30, 8, 1.0, seed=4)],
+                         ids=["section4", "null"])
+def test_absolute_loss_subset_fits_match_the_descent_on_their_columns(d):
+    # the reference is the solver core run on the subset's columns with the
+    # l2 ball of infinite radius, which solve_ridge_constrained poses
+    subsets = list(itertools.combinations(range(d.m), 2))
+    ref = [_descend(d.x[:, list(s)], d.y, ABSOLUTE, _Ball(np.inf, project_l2),
+                    oracle._SUBSET_CFG)[1].objective for s in subsets]
+    risks = [oracle._fit_subset(d, s, ABSOLUTE)[1] for s in subsets]
+    np.testing.assert_allclose(risks, ref, rtol=0, atol=1e-12)
+    sol = best_subset(d, 2, ABSOLUTE)
+    assert sol.subset == subsets[int(np.argmin(ref))]
+    assert sol.risk == pytest.approx(min(ref), rel=0, abs=1e-12)
+
+
 def test_separable_subsets_run_toward_their_infimum_and_are_flagged():
     rng = np.random.default_rng(7)
     y = np.where(rng.standard_normal(40) > 0, 1.0, -1.0)
@@ -285,7 +301,7 @@ def test_the_first_separable_subset_wins_with_its_batched_fit(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no descent may run for the exponential loss")
 
-    monkeypatch.setattr(oracle, "_descend", refuse)
+    monkeypatch.setattr(oracle, "solve_ridge_constrained", refuse)
     sol = best_subset(d, 2, EXPONENTIAL)
     assert sol.subset == first and sol.unbounded
     assert sol.risk <= 1e-12
