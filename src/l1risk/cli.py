@@ -360,6 +360,9 @@ def cmd_deviation(args) -> int:
     loss = LOSS_BY_FLAG[args.loss]
     if args.oracle_data is not None:
         reference = read_dataset(args.oracle_data)
+        if reference.m != d.m:
+            raise ValueError(f"{args.oracle_data} has {reference.m} columns, "
+                             f"{args.data} has {d.m}")
         ref_kind = {"oracle_data": args.oracle_data}
     else:
         if args.loss != "squared":

@@ -382,6 +382,7 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
     large fresh Dataset, scored by its empirical risk, or the ScenarioSpec
     that drew train, scored by the exact `population_risk`; a spec needs
     the squared loss and a scenario with that closed form (not section4).
+    Either reference must have train's column count.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be positive")
@@ -395,6 +396,9 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
                          "and a scenario other than section4")
     if not exact and not isinstance(reference, Dataset):
         raise TypeError("reference must be a Dataset or a ScenarioSpec")
+    if reference.m != train.m:
+        raise ValueError(f"reference has {reference.m} columns, train has "
+                         f"{train.m}")
     worst = 0.0
     for p in range(probe_count):
         rng = np.random.default_rng([seed, p])

@@ -14,7 +14,7 @@ the table plus a copy of x. A file that cannot be parsed, or that holds a
 nonfinite entry, is a ValueError that names it.
 
 Every output file gets the mode a plain `open` would give it: 0o666 less the
-umask the process had when this module was imported.
+umask in force when the file is written.
 
 Next to each dataset CSV the writer leaves `<stem>.cache.npy`: three
 `np.save` records holding the sha256 of the CSV's bytes, y and x. A read
@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -50,36 +49,20 @@ _SHIFT_BLOCK = 8192  # values per block when a read moves x into place (64 KiB)
 _HASH_CHUNK = 1 << 16  # bytes per read when a CSV is hashed (64 KiB)
 
 
-def _umask() -> int:
-    """The process umask, read from /proc where it shows it; otherwise set
-    and restored, which is safe only here at import: during a write another
-    thread could create a file under the temporary mask."""
-    try:
-        with open("/proc/self/status") as fh:
-            return next(int(line.split()[1], 8) for line in fh
-                        if line.startswith("Umask:"))
-    except (OSError, StopIteration):
-        mask = os.umask(0o077)
-        os.umask(mask)
-        return mask
-
-
-_FILE_MODE = 0o666 & ~_umask()
-
-
 @contextlib.contextmanager
 def _atomic_writer(path, mode="w"):
     """Yield a file opened with mode ("w" text, "wb" binary) that replaces
     path, via a same-directory temp file and an atomic rename, only if the
     block completes; otherwise the temp file is removed and path is left as
-    it was."""
+    it was. The temp file is created like a plain `open` would create it, so
+    the kernel applies the umask in force at this write."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, mode, newline="" if mode == "w" else None) as fh:
             yield fh
-        os.chmod(tmp, _FILE_MODE)  # mkstemp made it owner-only
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

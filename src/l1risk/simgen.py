@@ -80,6 +80,14 @@ class ScenarioSpec:
             if not float(p.get("sigma", -1.0)) >= 0:
                 raise ValueError("null needs params['sigma'] >= 0")
 
+    @property
+    def m(self) -> int:
+        """Columns of the design this spec draws."""
+        p = self.params
+        if self.kind == "section4":
+            return int(p["big_m"]) + 5
+        return p["beta_star"].m if self.kind == "sparse_linear" else int(p["m"])
+
 
 def _seed_record(seed):
     return [int(s) for s in seed] if np.ndim(seed) else int(seed)
@@ -147,7 +155,7 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
     if spec.kind == "section4":
         big_m = int(p["big_m"])
         convention = p.get("variance_convention", "var")
-        x = np.empty((n, big_m + 5))
+        x = np.empty((n, spec.m))
 
         def keep(rows, block):
             x[rows, :big_m] = block
@@ -158,12 +166,11 @@ def generate(spec: ScenarioSpec, seed) -> Dataset:
         ranges = ([1, 25], [big_m + 1, big_m + 5])
     else:
         beta_star = p["beta_star"] if spec.kind == "sparse_linear" else None
-        m = int(p["m"]) if beta_star is None else beta_star.m
         sigma = float(p["sigma"])
-        x = rng.standard_normal((n, m))
+        x = rng.standard_normal((n, spec.m))
         noise = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
         y = noise if beta_star is None else x @ beta_star.values + noise
-        params = {"m": m, "sigma": sigma}
+        params = {"m": spec.m, "sigma": sigma}
         if beta_star is not None:
             params["beta_star"] = beta_star.nonzeros_1based()
     return Dataset(x, y, {"scenario": spec.kind, "seed": _seed_record(seed),
@@ -211,10 +218,9 @@ def population_risk(spec: ScenarioSpec, beta: Coefficients) -> float:
     """
     if spec.kind == "section4":
         raise ValueError("no closed-form population risk for section4")
+    if beta.m != spec.m:
+        raise ValueError(f"dimension mismatch: {beta.m} vs {spec.m}")
     beta_star = spec.params["beta_star"] if spec.kind == "sparse_linear" else None
-    m = int(spec.params["m"]) if beta_star is None else beta_star.m
-    if beta.m != m:
-        raise ValueError(f"dimension mismatch: {beta.m} vs {m}")
     diff = beta.values if beta_star is None else beta.values - beta_star.values
     return float(spec.params["sigma"]) ** 2 + float(diff @ diff)
 
@@ -232,9 +238,9 @@ def sample_risk(spec: ScenarioSpec, seed, beta: Coefficients,
     """
     if spec.kind != "section4":
         raise ValueError(f"sample_risk scores section4 draws, not {spec.kind}")
+    if beta.m != spec.m:
+        raise ValueError(f"dimension mismatch: {beta.m} vs {spec.m}")
     big_m = int(spec.params["big_m"])
-    if beta.m != big_m + 5:
-        raise ValueError(f"dimension mismatch: {beta.m} vs {big_m + 5}")
     main, proxies = beta.values[:big_m], beta.values[big_m:]
     margins = np.empty(spec.n)
 

@@ -45,21 +45,17 @@ it cost more iterations than the loose ones save in checks. On a set that
 already holds the support, a loose stop only buys a second full-design
 check (a gradient over all columns and a projection). So an l1-ball pass
 stops loose only once its support fills more than `_WS_HOLD` (half) of its
-set, and otherwise runs on to `CERTIFICATE_TOL` (the forms' `stops_loose`).
-Over 70 ball fits (sparse-linear designs of 400 to 1600 rows, null designs
-of 200 rows and 1000 to 4000 columns, section4 500 x 1005 and 3005, budgets
-0.25 to 4), running on was faster in 39 of the 40 fits whose support filled
-at most half of the first set (0.77 times the time, geometric mean) and
-slower in 25 of the other 30 (1.20 times). Penalized passes always may stop
-loose; the rule was measured on ball fits only. A set that would cover
-`_WS_SHARE` (half) of the columns or more is replaced by all of them.
-Blocks are gathered into a buffer that a solve reuses until a set outgrows
-it. Designs of at most `_WS_SMALL` columns run one pass on the full
-design, with the iterates of a plain descent, and so do l2-ball fits and
-absolute-loss fits (which never certify). Iteration and rejection counts
-add up over passes, `max_iter` caps their total, a pass that stops
-uncertified ends the run with its reason, and the reported residual is
-always the full-design one.
+set, and otherwise runs on to `CERTIFICATE_TOL` (the forms' `stops_loose`);
+CHANGES.md's entry on l1-ball working-set passes gives the measurement.
+Penalized passes always may stop loose; the rule was measured on ball fits
+only. A set that would cover `_WS_SHARE` (half) of the columns or more is
+replaced by all of them. Blocks are gathered into a buffer that a solve
+reuses until a set outgrows it. Designs of at most `_WS_SMALL` columns run
+one pass on the full design, with the iterates of a plain descent, and so
+do l2-ball fits and absolute-loss fits (which never certify). Iteration
+and rejection counts add up over passes, `max_iter` caps their total, a
+pass that stops uncertified ends the run with its reason, and the reported
+residual is always the full-design one.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets

@@ -299,6 +299,13 @@ def test_deviation_cli_closed_form_and_oracle_data(linear_csv, tmp_path, capsys)
                  "--probes", "5", "--oracle-data", str(ref),
                  "--seed", "1"]) == 0
     capsys.readouterr()
+    # a reference of another column count is named with the training set
+    narrow = tmp_path / "narrow.csv"
+    write_dataset(gen_null(200, 5, 1.0, seed=2), narrow)
+    assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
+                 "--oracle-data", str(narrow), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {narrow} has 5 columns, {linear_csv} has 6\n"
 
 
 @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])

@@ -350,6 +350,8 @@ def test_sup_deviation_shrinks_with_sample_size():
 def test_sup_deviation_checks_its_reference_before_any_probe(monkeypatch):
     d = gen_null(30, 5, 1.0, seed=10)
     null = ScenarioSpec("null", 30, {"m": 5, "sigma": 1.0})
+    wider = (gen_null(40, 6, 1.0, seed=11),
+             ScenarioSpec("null", 30, {"m": 6, "sigma": 1.0}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("no probe may be drawn")
@@ -359,6 +361,10 @@ def test_sup_deviation_checks_its_reference_before_any_probe(monkeypatch):
                        (SQUARED, ScenarioSpec("section4", 30, {"big_m": 25}))):
         with pytest.raises(ValueError, match="ScenarioSpec reference"):
             sup_deviation(d, 5, 2, 0.5, loss, spec)
+    for reference in wider:
+        with pytest.raises(ValueError,
+                           match="reference has 6 columns, train has 5"):
+            sup_deviation(d, 5, 2, 0.5, SQUARED, reference)
     with pytest.raises(TypeError):
         sup_deviation(d, 5, 2, 0.5, SQUARED,
                       lambda b: population_risk(null, b))

@@ -425,6 +425,28 @@ def test_outputs_get_the_mode_the_umask_allows(umask, mode, tmp_path):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
+_WRITE_AFTER_A_UMASK_CHANGE = """
+import os, sys
+from l1risk.io import atomic_write_text, write_dataset
+from l1risk.simgen import gen_null
+os.umask(0o077)
+os.chdir(sys.argv[1])
+write_dataset(gen_null(10, 3, 1.0, seed=1), "d.csv")
+atomic_write_text("t.txt", "text\\n")
+"""
+
+
+def test_the_umask_at_write_time_governs_the_mode(tmp_path):
+    # imported under umask 022; the writes run under 077
+    subprocess.run([sys.executable, "-c", _WRITE_AFTER_A_UMASK_CHANGE,
+                    str(tmp_path)], umask=0o022, check=True,
+                   capture_output=True)
+    names = ["d.csv", "d.cache.npy", "d.meta.json", "t.txt"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o600, name
+
+
 def test_atomic_write_failure_leaves_no_temp_files(tmp_path):
     target = tmp_path / "dir_in_the_way"
     target.mkdir()
