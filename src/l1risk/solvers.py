@@ -59,7 +59,16 @@ residual is always the full-design one.
 
 The step rule is fixed (first step `_STEP_INIT` = 1.0, backtracking factor
 `_BACKTRACK` = 0.5, Armijo constant `_ARMIJO` = 1e-4); `SolveConfig` sets
-only the stopping rule.
+only the stopping rule. From the second step of a pass on, the proposal is a
+Barzilai-Borwein length from the last move s and gradient change y, or the
+last step grown by 1/`_BACKTRACK` where s.y <= 0. Ball fits always propose
+the long length BB1 = s.s / s.y. The penalized form alternates (the forms'
+`alternates`): the short length BB2 = s.y / y.y on even iterations of a pass,
+BB1 on odd ones (cyclic BB; Dai & Fletcher 2005, Dai, Hager, Schittkowski &
+Zhang 2006). At small lambda BB1 overshoots and backtracks again and again,
+and alternating roughly halves the trials there; on the ball fits it was
+slower, so they keep BB1. CHANGES.md's entry on alternating step lengths
+gives the measurements.
 """
 
 from __future__ import annotations
@@ -184,6 +193,7 @@ class _L1Penalty:
 
     lam: float
     grows = True
+    alternates = True
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:  # NaN fails too; inf * 0 would be NaN
@@ -221,6 +231,7 @@ class _Ball:
 
     radius: float
     project: object
+    alternates = False
 
     def __post_init__(self):
         if not self.radius >= 0:  # NaN fails too
@@ -265,8 +276,10 @@ def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
     """Monotone composite descent of mean loss(y, x @ beta) + form.penalty(beta),
     started at `beta` (zero if None) with first step length `eta`.
 
-    Each step is `form.prox(v, eta)`, and the run stops at the first iterate
-    where the form's certificate `form.residual(beta, grad, eta)` is at most
+    Each step is `form.prox(v, eta)` at a Barzilai-Borwein length (short and
+    long in turn where `form.alternates`; see the module docstring) cut back
+    by Armijo backtracking. The run stops at the first iterate where the
+    form's certificate `form.residual(beta, grad, eta)` is at most
     `CERTIFICATE_TOL`, or at most a looser `tol` where `form.stops_loose(beta)`
     holds. Candidate steps with nonfinite objective are rejected by the line
     search, so exponential-loss overflow only shortens the step. A `trace`
@@ -300,8 +313,13 @@ def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
             db = beta - prev_beta
             dg = grad - prev_grad
             curv = float(db @ dg)
-            # BB step where curvature is informative, otherwise grow the last step
-            eta = float(db @ db) / curv if curv > 0 else eta / _BACKTRACK
+            # BB step where curvature is informative, otherwise grow the last
+            # step; a form that alternates takes the short one on even steps
+            if curv > 0:
+                short = form.alternates and iterations % 2 == 0
+                eta = curv / float(dg @ dg) if short else float(db @ db) / curv
+            else:
+                eta = eta / _BACKTRACK
             eta = min(max(eta, _STEP_MIN), _STEP_MAX)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
