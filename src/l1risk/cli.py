@@ -8,7 +8,6 @@ output, not treated as an error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from l1risk.experiments import (
     sup_deviation,
 )
 from l1risk.io import (
-    atomic_write_text,
+    atomic_write_json,
     cache_path,
     meta_path,
     read_coefficients,
@@ -256,20 +255,20 @@ def cmd_simgen(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _solve_config(args)
-    d = read_dataset(args.data)
-    loss = LOSS_BY_FLAG[args.loss]
     if args.penalty == "l1":
         if args.lam is None:
             raise ArgError("penalty l1 requires --lambda")
-        beta, report = solve_penalized(d, loss, args.lam, cfg)
+        solver, arg = solve_penalized, args.lam
         pen = {"penalty": "l1", "lambda": args.lam}
     else:
         if args.budget is None:
             raise ArgError(f"penalty {args.penalty} requires --budget")
         solver = solve_constrained if args.penalty == "l1ball" \
             else solve_ridge_constrained
-        beta, report = solver(d, loss, args.budget, cfg)
+        arg = args.budget
         pen = {"penalty": args.penalty, "budget": args.budget}
+    beta, report = solver(read_dataset(args.data), LOSS_BY_FLAG[args.loss],
+                          arg, cfg)
     write_coefficients(args.out, beta, report,
                        {"loss": args.loss, **pen, "data": args.data})
     state = "converged" if report.converged \
@@ -356,6 +355,9 @@ def cmd_ridge_demo(args) -> int:
 def cmd_deviation(args) -> int:
     if not 0 <= args.radius < np.inf:  # NaN fails too
         raise ArgError("--radius must be nonnegative and finite")
+    if args.oracle_data is None and args.loss != "squared":
+        raise ArgError("closed-form reference needs --loss squared; "
+                       "pass --oracle-data otherwise")
     d = read_dataset(args.data)
     loss = LOSS_BY_FLAG[args.loss]
     if args.oracle_data is not None:
@@ -365,9 +367,6 @@ def cmd_deviation(args) -> int:
                              f"{args.data} has {d.m}")
         ref_kind = {"oracle_data": args.oracle_data}
     else:
-        if args.loss != "squared":
-            raise ArgError("closed-form reference needs --loss squared; "
-                           "pass --oracle-data otherwise")
         try:
             spec = scenario_of(d)
         except ValueError as e:
@@ -379,10 +378,10 @@ def cmd_deviation(args) -> int:
     value = sup_deviation(d, args.probes, args.k, args.radius, loss,
                           reference, args.seed)
     if args.out:
-        atomic_write_text(args.out, json.dumps({
+        atomic_write_json(args.out, {
             "sup_deviation": value, "probes": args.probes, "k": args.k,
             "radius": args.radius, "loss": args.loss, "seed": args.seed,
-            **ref_kind}, indent=2) + "\n")
+            **ref_kind})
     print(f"sup deviation {value:.6g} over {args.probes} probes "
           f"(k={args.k}, radius={args.radius})")
     return 0

@@ -1,12 +1,13 @@
 """Experiment harnesses: lambda sweeps, constrained-fit scaling curves, and
 diagnostics built on the solvers and generators.
 
-The three repeated-draw harnesses each build a list of cells (one seeded
-draw plus its fits), a per-cell function and an aggregation; `_run_cells`
-runs the cells, serially or on a thread pool. Every cell derives its seeds
-from the master seed and its own indices, so reruns are bit-identical and
-cells can run in any order (including across threads) without changing the
-emitted aggregates.
+The three repeated-draw harnesses each give `_run_cells` their groups (the
+lambdas, the sample sizes, the ridge demo's one group), a repetition count
+and a per-cell function; the runner owns the (group, repetition) grid, runs
+it serially or on a thread pool, and returns one block of results per group.
+Every cell derives its seeds from the master seed and its own indices, so
+reruns are bit-identical and cells can run in any order (including across
+threads) without changing the emitted aggregates.
 """
 from __future__ import annotations
 
@@ -163,31 +164,33 @@ class RidgeComparison:
         return float(np.mean(self.selected_risks))
 
 
-def _run_cells(cells, fn, threads=1, progress=None) -> list:
-    """fn(cell) for every cell, in cell order, with OpenBLAS on one thread.
+def _run_cells(groups, reps, fn, threads=1, progress=None) -> list:
+    """fn(group, rep) for each group, rep in range(reps), with OpenBLAS on
+    one thread; returns one list of the group's reps results per group.
 
-    With threads > 1 the cells run on a pool of that many threads, otherwise
-    in the calling thread. progress, if given, is called as
-    progress(done, total) once per cell, in cell order. When a cell or
-    progress raises, cells not yet started are cancelled before the error
-    propagates. OpenBLAS's previous thread count is restored on return; with
-    numpy's OpenBLAS, two runs started at once in one process take turns.
+    Cells run group by group, reps in order, on a pool of `threads` threads
+    when threads > 1, otherwise in the calling thread. progress, if given,
+    is called as progress(done, total) once per cell, in cell order. When a
+    cell or progress raises, cells not yet started are cancelled before the
+    error propagates. OpenBLAS's previous thread count is restored on
+    return; with numpy's OpenBLAS, two runs started at once in one process
+    take turns.
     """
-    cells = list(cells)
+    cells = [(group, rep) for group in groups for rep in range(reps)]
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             if pool is None:
-                outcomes = map(fn, cells)
+                outcomes = (fn(*cell) for cell in cells)
             else:
-                futures = [pool.submit(fn, cell) for cell in cells]
+                futures = [pool.submit(fn, *cell) for cell in cells]
                 outcomes = (future.result() for future in futures)
             results = []
             for done, result in enumerate(outcomes, start=1):
                 results.append(result)
                 if progress is not None:
                     progress(done, len(cells))
-            return results
+            return [results[i:i + reps] for i in range(0, len(cells), reps)]
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -220,8 +223,7 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
         raise ValueError("threads must be positive")
     test_spec = replace(scenario, n=test_n)
 
-    def sweep_cell(cell):
-        li, rep = cell
+    def sweep_cell(li, rep):
         train = generate(scenario, [seed, li, rep, 0])
         beta, report = solve_penalized(train, loss, lambdas[li], cfg)
         v_real = sample_risk(test_spec, [seed, li, rep, 1], beta, loss)
@@ -236,12 +238,10 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
             report.converged,
         )
 
-    cells = [(li, rep) for li in range(len(lambdas)) for rep in range(reps)]
-    results = _run_cells(cells, sweep_cell, threads, progress)
-
+    blocks = _run_cells(range(len(lambdas)), reps, sweep_cell, threads,
+                        progress)
     rows = []
-    for li, lam in enumerate(lambdas):
-        block = results[li * reps:(li + 1) * reps]
+    for lam, block in zip(lambdas, blocks):
         cols = np.array([c[:5] for c in block])
         rows.append(SweepRow(
             lam=lam,
@@ -301,22 +301,18 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
         specs.append(ScenarioSpec("sparse_linear", n, {
             "m": m, "beta_star": beta_star, "sigma": sigma}))
 
-    def persistence_cell(cell):
-        ni, rep = cell
+    def persistence_cell(ni, rep):
         train = generate(specs[ni], [seed, ni, rep])
         beta, _ = solve_constrained(train, SQUARED, budget, cfg)
         # the population risk of beta* itself is sigma^2
         return population_risk(specs[ni], beta) - float(sigma) ** 2
 
-    cells = [(ni, rep) for ni in range(len(ns)) for rep in range(reps)]
-    excesses = _run_cells(cells, persistence_cell, progress=progress)
-    points = []
-    for ni, spec in enumerate(specs):
-        block = excesses[ni * reps:(ni + 1) * reps]
-        points.append(PersistencePoint(n=int(spec.n), m=spec.params["m"],
-                                       excess_risk=float(np.median(block)),
-                                       budget=budget))
-    return points
+    blocks = _run_cells(range(len(specs)), reps, persistence_cell,
+                        progress=progress)
+    return [PersistencePoint(n=int(spec.n), m=spec.params["m"],
+                             excess_risk=float(np.median(block)),
+                             budget=budget)
+            for spec, block in zip(specs, blocks)]
 
 
 def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
@@ -341,7 +337,7 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
         raise ValueError("reps must be positive")
     spec = ScenarioSpec("null", n, {"m": m, "sigma": sigma})
 
-    def ridge_cell(rep):
+    def ridge_cell(_, rep):
         train = generate(spec, [seed, rep, 0])
         held = generate(spec, [seed, rep, 1])
         rbeta, _ = solve_ridge_constrained(train, SQUARED, delta, cfg)
@@ -353,7 +349,7 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
         return (population_risk(spec, rbeta),
                 rbeta.l2_norm / delta, pops, held_risks)
 
-    results = _run_cells(range(reps), ridge_cell, progress=progress)
+    results, = _run_cells([None], reps, ridge_cell, progress=progress)
     budget_pop = [0.0] * len(budgets)
     sel_budgets, sel_risks = [], []
     for _, _, pops, held_risks in results:

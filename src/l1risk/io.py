@@ -7,6 +7,10 @@ written with round-trip precision (shortest repr), so reading back reproduces
 the exact binary values. Every writer goes through a temp-file-and-rename so
 failures never leave partial output behind.
 
+One writer, `_write_table`, writes every result CSV and its sidecar, whose
+keys begin `kind`, `seed`, `params`; one, `atomic_write_json`, writes every
+JSON record, and a dataset's meta sidecar takes the same formatting.
+
 Dataset files are handled in bounded memory: rows are formatted and written
 one at a time, so a write holds one row's text rather than the whole file,
 and a read holds one design, the parsed table with x moved into place, not
@@ -74,6 +78,11 @@ def atomic_write_text(path, text: str) -> None:
     """Write text to path via a same-directory temp file and atomic rename."""
     with _atomic_writer(path) as fh:
         fh.write(text)
+
+
+def atomic_write_json(path, record) -> None:
+    """Write record as indented JSON, like atomic_write_text."""
+    atomic_write_text(path, _json_text(record))
 
 
 def meta_path(path) -> Path:
@@ -260,7 +269,7 @@ def write_coefficients(path, beta: Coefficients, report: SolveReport = None,
         }
     if params is not None:
         record["params"] = params
-    atomic_write_text(path, _json_text(record))
+    atomic_write_json(path, record)
 
 
 def read_coefficients(path) -> tuple[Coefficients, dict]:
@@ -276,12 +285,14 @@ def read_coefficients(path) -> tuple[Coefficients, dict]:
     return beta, record
 
 
-def _csv_text(header: list, rows: list) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(repr(float(c)) if isinstance(c, float) else str(c)
-                            for c in row))
-    return "\n".join(out) + "\n"
+def _write_table(path, header, rows, kind, seed, params, **extra) -> None:
+    """CSV table (floats in round-trip repr) and its sidecar
+    {"kind", "seed", "params", **extra}."""
+    atomic_write_text(path, "".join(
+        ",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                 for c in row) + "\n" for row in [header, *rows]))
+    atomic_write_json(meta_path(path), {"kind": kind, "seed": seed,
+                                        "params": params, **extra})
 
 
 SWEEP_HEADER = ["lambda", "v_training", "v_real", "b1_norm", "b2_norm",
@@ -296,14 +307,9 @@ def write_sweep(path, rows: list, scenario_params: dict) -> None:
     """
     body = [[r.lam, r.v_training, r.v_real, r.b1_norm, r.b2_norm, r.beta_l1,
              r.reps, r.seed] for r in rows]
-    atomic_write_text(path, _csv_text(SWEEP_HEADER, body))
-    side = {
-        "kind": "sweep",
-        "seed": rows[0].seed if rows else None,
-        "params": scenario_params,
-        "unconverged": [[r.lam, r.n_unconverged] for r in rows],
-    }
-    atomic_write_text(meta_path(path), _json_text(side))
+    _write_table(path, SWEEP_HEADER, body, "sweep",
+                 rows[0].seed if rows else None, scenario_params,
+                 unconverged=[[r.lam, r.n_unconverged] for r in rows])
 
 
 PERSIST_HEADER = ["n", "m", "excess_risk", "budget", "reps", "seed"]
@@ -313,9 +319,7 @@ def write_persistence(path, points: list, reps: int, seed: int,
                       params: dict) -> None:
     """One CSV row per sample size plus the parameter sidecar."""
     body = [[p.n, p.m, p.excess_risk, p.budget, reps, seed] for p in points]
-    atomic_write_text(path, _csv_text(PERSIST_HEADER, body))
-    atomic_write_text(meta_path(path), _json_text(
-        {"kind": "persistence", "seed": seed, "params": params}))
+    _write_table(path, PERSIST_HEADER, body, "persistence", seed, params)
 
 
 RIDGE_HEADER = ["kind", "param", "pop_risk", "boundary"]
@@ -331,14 +335,11 @@ def write_ridge_demo(path, cmp: RidgeComparison) -> None:
         rows.append(["l1", float(budget), float(risk), ""])
     rows.append(["l1_selected", float(np.mean(cmp.selected_budgets)),
                  cmp.selected_risk_mean, ""])
-    atomic_write_text(path, _csv_text(RIDGE_HEADER, rows))
-    atomic_write_text(meta_path(path), _json_text({
-        "kind": "ridge_demo", "seed": cmp.seed,
-        "params": {"n": cmp.n, "m": cmp.m, "sigma": cmp.sigma,
-                   "delta": cmp.delta, "reps": cmp.reps,
-                   "budgets": [float(b) for b, _ in cmp.budget_risks]},
-        "selected_budgets": [float(b) for b in cmp.selected_budgets],
-    }))
+    _write_table(path, RIDGE_HEADER, rows, "ridge_demo", cmp.seed,
+                 {"n": cmp.n, "m": cmp.m, "sigma": cmp.sigma,
+                  "delta": cmp.delta, "reps": cmp.reps,
+                  "budgets": [float(b) for b, _ in cmp.budget_risks]},
+                 selected_budgets=[float(b) for b in cmp.selected_budgets])
 
 
 def write_subset_solution(path, sol: SubsetSolution, params: dict = None) -> None:
@@ -351,4 +352,4 @@ def write_subset_solution(path, sol: SubsetSolution, params: dict = None) -> Non
     }
     if params is not None:
         record["params"] = params
-    atomic_write_text(path, _json_text(record))
+    atomic_write_json(path, record)

@@ -11,7 +11,7 @@ import pytest
 from l1risk import cli
 from l1risk.cli import COMMANDS, ArgError, build_parser, main, \
     parse_lambda_grid
-from l1risk.io import read_coefficients, write_dataset
+from l1risk.io import atomic_write_json, read_coefficients, write_dataset
 from l1risk.simgen import gen_null
 from l1risk.solvers import solve_penalized
 
@@ -150,6 +150,26 @@ def test_solve_flag_and_file_errors(linear_csv, tmp_path, capsys):
                      *flags, "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
     assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--out", "fit.json"], "penalty l1 requires --lambda"),
+    (["solve", "--penalty", "l1ball", "--out", "fit.json"],
+     "penalty l1ball requires --budget"),
+    (["solve", "--penalty", "l2ball", "--out", "fit.json"],
+     "penalty l2ball requires --budget"),
+    (["deviation", "--loss", "exp", "--seed", "1"],
+     "closed-form reference needs --loss squared; pass --oracle-data "
+     "otherwise"),
+], ids=["solve l1", "solve l1ball", "solve l2ball", "deviation exp"])
+def test_missing_flags_exit_2_before_any_file_is_read(argv, message,
+                                                      monkeypatch, capsys):
+    def refuse(path):
+        raise AssertionError(f"read {path} before the flag checks")
+
+    monkeypatch.setattr(cli, "read_dataset", refuse)
+    assert main([argv[0], "--data", "nothere.csv", *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,6 +326,31 @@ def test_deviation_cli_closed_form_and_oracle_data(linear_csv, tmp_path, capsys)
                  "--oracle-data", str(narrow), "--seed", "1"]) == 1
     assert capsys.readouterr().err == \
         f"error: {narrow} has 5 columns, {linear_csv} has 6\n"
+
+
+def test_deviation_json_keeps_its_key_order(linear_csv, tmp_path,
+                                            monkeypatch, capsys):
+    written = []
+
+    def spy(path, record):
+        written.append(path)
+        atomic_write_json(path, record)
+
+    monkeypatch.setattr(cli, "atomic_write_json", spy)
+    ref = tmp_path / "ref.csv"
+    write_dataset(gen_null(200, 6, 1.0, seed=2), ref)
+    head = ["sup_deviation", "probes", "k", "radius", "loss", "seed"]
+    for flags, tail in (([], ["closed_form", "sigma"]),
+                        (["--oracle-data", str(ref)], ["oracle_data"])):
+        out = tmp_path / "dev.json"
+        assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
+                     "--seed", "1", *flags, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert list(json.loads(text)) == head + tail
+        assert text.startswith('{\n  "sup_deviation": ')
+        assert text.endswith("\n}\n")
+    assert written == [str(tmp_path / "dev.json")] * 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])

@@ -184,18 +184,18 @@ def test_run_cells_stops_on_the_first_error():
     started = []
     raised = threading.Event()
 
-    def cell(i):
+    def cell(group, rep):
         with lock:
             started.append(raised.is_set())
         time.sleep(0.01)
-        return i
+        return group, rep
 
     def fail(done, total):
         raised.set()
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        experiments._run_cells(range(40), cell, threads, fail)
+        experiments._run_cells(range(2), 20, cell, threads, fail)
     # a worker may already hold its next cell when the error propagates
     assert started.count(True) <= threads
 
@@ -204,10 +204,11 @@ def test_run_cells_keeps_cell_order():
     for threads in (1, 3):
         seen = []
         results = experiments._run_cells(
-            range(7), lambda i: i * i, threads,
+            ["a", "b"], 4, lambda group, rep: f"{group}{rep}", threads,
             lambda done, total: seen.append((done, total)))
-        assert results == [i * i for i in range(7)]
-        assert seen == [(d, 7) for d in range(1, 8)]
+        # one block of reps results per group, cells in (group, rep) order
+        assert results == [["a0", "a1", "a2", "a3"], ["b0", "b1", "b2", "b3"]]
+        assert seen == [(d, 8) for d in range(1, 9)]
 
 
 def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):

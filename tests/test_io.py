@@ -14,6 +14,7 @@ import pytest
 
 from l1risk.experiments import (
     PersistencePoint,
+    RidgeComparison,
     SweepRow,
     ridge_vs_l1_demo,
 )
@@ -371,6 +372,107 @@ def test_ridge_demo_file(tmp_path):
     assert kinds == ["ridge", "l1", "l1", "l1_selected"]
     side = json.loads(meta_path(p).read_text())
     assert side["params"]["budgets"] == [0.0, 1.0]
+
+
+# Each table writer's exact output, as (write, CSV text, sidecar text), for
+# rows built by hand: no solver runs, so no BLAS kernel can move a digit
+TABLE_TEXTS = {
+    "sweep": (
+        lambda p: write_sweep(p, [
+            SweepRow(0.01, 0.3, 0.9, 2.0, 0.5, 3.0, reps=4, seed=7,
+                     n_unconverged=1),
+            SweepRow(0.05, 0.1 + 0.2, 1 / 3, 1.5, 0.25, 2.0, reps=4, seed=7)],
+            {"scenario": "section4", "n": 100, "big_m": 50,
+             "lambdas": [0.01, 0.05]}),
+        "lambda,v_training,v_real,b1_norm,b2_norm,beta_l1,reps,seed\n"
+        "0.01,0.3,0.9,2.0,0.5,3.0,4,7\n"
+        "0.05,0.30000000000000004,0.3333333333333333,1.5,0.25,2.0,4,7\n",
+        """{
+  "kind": "sweep",
+  "seed": 7,
+  "params": {
+    "scenario": "section4",
+    "n": 100,
+    "big_m": 50,
+    "lambdas": [
+      0.01,
+      0.05
+    ]
+  },
+  "unconverged": [
+    [
+      0.01,
+      1
+    ],
+    [
+      0.05,
+      0
+    ]
+  ]
+}
+"""),
+    "persistence": (
+        lambda p: write_persistence(
+            p, [PersistencePoint(100, 251, 0.5, 2 ** 0.5),
+                PersistencePoint(400, 1320, 0.1 + 0.2, 2 ** 0.5)],
+            reps=5, seed=3, params={"ns": [100, 400], "alpha": 1.2}),
+        "n,m,excess_risk,budget,reps,seed\n"
+        "100,251,0.5,1.4142135623730951,5,3\n"
+        "400,1320,0.30000000000000004,1.4142135623730951,5,3\n",
+        """{
+  "kind": "persistence",
+  "seed": 3,
+  "params": {
+    "ns": [
+      100,
+      400
+    ],
+    "alpha": 1.2
+  }
+}
+"""),
+    "ridge demo": (
+        lambda p: write_ridge_demo(p, RidgeComparison(
+            n=20, m=10, sigma=1.0, delta=0.25, reps=2, seed=1,
+            ridge_risks=(1.1, 1.2), ridge_boundary=(1.0, 0.5),
+            budget_risks=((0.0, 1.0), (1.0, 1 / 3)),
+            selected_budgets=(0.0, 1.0), selected_risks=(1.0, 0.1 + 0.2))),
+        "kind,param,pop_risk,boundary\n"
+        "ridge,0.25,1.15,0.75\n"
+        "l1,0.0,1.0,\n"
+        "l1,1.0,0.3333333333333333,\n"
+        "l1_selected,0.5,0.65,\n",
+        """{
+  "kind": "ridge_demo",
+  "seed": 1,
+  "params": {
+    "n": 20,
+    "m": 10,
+    "sigma": 1.0,
+    "delta": 0.25,
+    "reps": 2,
+    "budgets": [
+      0.0,
+      1.0
+    ]
+  },
+  "selected_budgets": [
+    0.0,
+    1.0
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_TEXTS)
+def test_table_writers_keep_their_text(name, tmp_path):
+    write, table, sidecar = TABLE_TEXTS[name]
+    p = tmp_path / "table.csv"
+    write(p)
+    assert p.read_text() == table
+    assert meta_path(p).read_text() == sidecar
+    assert list(json.loads(sidecar))[:3] == ["kind", "seed", "params"]
 
 
 def test_subset_solution_file_uses_1_based_columns(tmp_path):

@@ -1,11 +1,13 @@
 """Penalized and ball-constrained solvers and their certificates."""
 
+import ctypes
 import dataclasses
 import hashlib
 import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,52 +367,86 @@ def test_one_tiny_decrease_is_not_a_stall():
 
 # Ball fits take the long Barzilai-Borwein step on every iteration, so these
 # fits must keep the beta and report bytes they had before penalized fits
-# began to alternate step lengths (first 16 hex digits of a sha256 over
-# beta's bytes and the report; one BLAS thread)
+# began to alternate step lengths: per fit, the first 16 hex digits of a
+# sha256 over beta's bytes and the report, (iterations, step_rejections,
+# reason), and (objective, ||beta||_1, ||beta||_2), on one BLAS thread
 BALL_FITS = {
     "l1 ball, working set, squared": (
         lambda: solve_constrained(gen_null(200, 2000, 1.0, 4), SQUARED, 1.0),
-        "fed7d5163f8e2f4f"),
+        "fed7d5163f8e2f4f", (32, 4, "certified"),
+        (0.626905627188882, 1.0000000000000002, 0.219173745379069)),
     "l1 ball, working set, exponential": (
         lambda: solve_constrained(gen_section4(200, 1000, 3), EXPONENTIAL, 1.0),
-        "ee30b131a09e8ec9"),
+        "ee30b131a09e8ec9", (63, 34, "certified"),
+        (0.77171505072657, 1.0000000000000002, 0.22488588093570183)),
     "l1 ball, full design, squared": (
         lambda: solve_constrained(gen_section4(200, 300, 3), SQUARED, 1.0),
-        "497c8f410e53aca7"),
+        "497c8f410e53aca7", (50, 34, "certified"),
+        (0.5440624034336546, 0.9999999999999998, 0.23001568555826563)),
     "l1 ball, full design, absolute": (
         lambda: solve_constrained(gen_section4(200, 300, 3), ABSOLUTE, 1.0,
                                   SolveConfig(max_iter=50)),
-        "1a59c75855537086"),
+        "1a59c75855537086", (50, 5, "max_iter"),
+        (0.6149263439233948, 1.0, 0.22882704094592385)),
     "l2 ball, squared": (
         lambda: solve_ridge_constrained(gen_section4(200, 1000, 3), SQUARED,
                                         0.5),
-        "53b9bb25e9dc5c7e"),
+        "53b9bb25e9dc5c7e", (32, 17, "certified"),
+        (5.719231418283129e-12, 11.071756233053694, 0.4419970440939894)),
     "l2 ball, exponential": (
         lambda: solve_ridge_constrained(gen_section4(200, 1000, 3),
                                         EXPONENTIAL, 0.5),
-        "5ce4879ff8357ed6"),
+        "5ce4879ff8357ed6", (13, 2, "certified"),
+        (0.29065442441863054, 12.300475727057158, 0.49999999999999994)),
     "l2 ball, absolute": (
         lambda: solve_ridge_constrained(gen_section4(200, 1000, 3), ABSOLUTE,
                                         0.5, SolveConfig(max_iter=50)),
-        "216a082c67c11f5f"),
+        "216a082c67c11f5f", (50, 0, "max_iter"),
+        (0.012528655368918912, 10.870543691829539, 0.4349849150317015)),
     "infinite l2 ball, absolute (an oracle subset fit)": (
         lambda: solve_ridge_constrained(
             (lambda d: Dataset(d.x[:, [0, 3]], d.y))(gen_section4(60, 25, 0)),
             ABSOLUTE, np.inf),
-        "28bcf2a95a8f90eb"),
+        "28bcf2a95a8f90eb", (49, 34, "stalled"),
+        (0.8637465377393988, 0.7792659101774464, 0.551069534772241)),
 }
+
+# The kernel set the sha256 prefixes were recorded on. OpenBLAS picks its
+# kernels by CPU (or OPENBLAS_CORETYPE), and the Haswell and SandyBridge
+# sets move beta by up to 4.3e-13, the objective by up to 2.2e-16 and the
+# norms by up to 1.8e-13, with the same iterations, rejections and reasons.
+RECORDED_KERNELS = "SkylakeX"
+
+
+def _openblas_kernels():
+    """The kernel set numpy's bundled OpenBLAS runs, or None without one."""
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = (), ctypes.c_char_p
+                return get().decode()
+    return None
 
 
 @pytest.mark.parametrize("name", BALL_FITS)
 def test_ball_fits_keep_their_bytes(name):
-    fit, expected = BALL_FITS[name]
+    fit, expected, counts, (objective, l1, l2) = BALL_FITS[name]
     with experiments._one_blas_thread():
         beta, report = fit()
-    h = hashlib.sha256(beta.values.tobytes())
-    h.update(repr((report.iterations, report.objective.hex(),
-                   report.kkt_residual.hex(), report.step_rejections,
-                   report.reason)).encode())
-    assert h.hexdigest()[:16] == expected
+    assert (report.iterations, report.step_rejections, report.reason) == counts
+    assert report.objective == pytest.approx(objective, rel=1e-12, abs=1e-15)
+    assert beta.l1_norm == pytest.approx(l1, rel=1e-10)
+    assert beta.l2_norm == pytest.approx(l2, rel=1e-10)
+    if _openblas_kernels() == RECORDED_KERNELS:
+        h = hashlib.sha256(beta.values.tobytes())
+        h.update(repr((report.iterations, report.objective.hex(),
+                       report.kkt_residual.hex(), report.step_rejections,
+                       report.reason)).encode())
+        assert h.hexdigest()[:16] == expected
 
 
 def test_penalized_fits_alternate_step_lengths():
