@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from l1risk.experiments import (
+    _check_probes,
     _one_blas_thread,
     lambda_sweep,
     persistence_curve,
@@ -35,7 +36,7 @@ from l1risk.io import (
     write_sweep,
 )
 from l1risk.maurey import sparsify
-from l1risk.oracle import DEFAULT_BUDGET, best_subset, grid_best
+from l1risk.oracle import DEFAULT_BUDGET, _check_grid, best_subset, grid_best
 from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED
 from l1risk.simgen import (
     ScenarioSpec,
@@ -312,6 +313,8 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.method == "grid":
+        _check_grid(args.radius, args.step)  # no need to read the data first
     d = read_dataset(args.data)
     loss = LOSS_BY_FLAG[args.loss]
     if args.method == "exact":
@@ -358,6 +361,7 @@ def cmd_deviation(args) -> int:
     if args.oracle_data is None and args.loss != "squared":
         raise ArgError("closed-form reference needs --loss squared; "
                        "pass --oracle-data otherwise")
+    _check_probes(args.probes, args.k, args.radius)  # before any file is read
     d = read_dataset(args.data)
     loss = LOSS_BY_FLAG[args.loss]
     if args.oracle_data is not None:

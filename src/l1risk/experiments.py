@@ -369,6 +369,18 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
     )
 
 
+def _check_probes(probe_count: int, k: int, radius: float,
+                  m: float = np.inf) -> None:
+    """`sup_deviation`'s checks of its probes; the default m checks only
+    what needs no data."""
+    if probe_count < 1:
+        raise ValueError("probe_count must be positive")
+    if not 1 <= k <= m:
+        raise ValueError("need 1 <= k <= m")
+    if not 0 <= radius < np.inf:  # NaN fails too
+        raise ValueError("radius must be nonnegative and finite")
+
+
 def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
                   loss: LossSpec, reference, seed: int = 0) -> float:
     """Largest |training risk - reference risk| over random sparse probes.
@@ -380,12 +392,7 @@ def sup_deviation(train: Dataset, probe_count: int, k: int, radius: float,
     the squared loss and a scenario with that closed form (not section4).
     Either reference must have train's column count.
     """
-    if probe_count < 1:
-        raise ValueError("probe_count must be positive")
-    if not 1 <= k <= train.m:
-        raise ValueError("need 1 <= k <= m")
-    if not 0 <= radius < np.inf:  # NaN fails too
-        raise ValueError("radius must be nonnegative and finite")
+    _check_probes(probe_count, k, radius, train.m)
     exact = isinstance(reference, ScenarioSpec)
     if exact and (loss.kind != "squared" or reference.kind == "section4"):
         raise ValueError("a ScenarioSpec reference needs the squared loss "

@@ -5,31 +5,31 @@ ground truth against which the l1 route is compared, and simplicity is the
 guarantee. A budget on the number of evaluated candidates rejects instances
 that are too large instead of silently sampling.
 
-Subset fits: squared loss solves each subset by least squares, and absolute
-loss fits the subset's columns, as a dataset of their own, with
-`solve_ridge_constrained(..., inf)`: an l2 ball of infinite radius.
-Exponential-loss subsets are fit together by damped Newton (Boyd &
-Vandenberghe, Convex Optimization, 9.5). The signed columns y * x_S of a
-chunk of subsets are stacked into one (subsets, k, n) array of at most
-`_CHUNK_BYTES`, and each step forms every gradient and k x k Hessian at
-once. Each Newton system is solved through an
-eigendecomposition whose tiny eigenvalues count as zero, so a singular
-Hessian (a zero or repeated column) gets the least-norm step instead of an
-error. Each subset backtracks its own step from 1 until Armijo's condition
-holds, with the solvers' constants; a nonfinite trial risk is rejected. A
-subset stops once it holds the certificate its descent fit used, max
-|gradient| <= CERTIFICATE_TOL, and half its squared Newton decrement (the
-decrease a further step predicts) is at most `_DECREMENT_TOL`: Newton
-reaches the certificate in long steps, and the certificate alone left fits
-up to 2e-9 above their minimum. A subset also stops on a line search that
-finds no acceptable step, or after `_SUBSET_CFG.max_iter` steps. A subset
-whose margins become strictly separated has no minimizer and is flagged
-unbounded at its last iterate. Newton keeps stepping it toward its infimum
-0 until its gradient and decrement pass the same test, or the line search
-fails. That infimum is below the risk of every subset that cannot separate
-the labels (at least 1/n, since one margin is never positive), so
-`best_subset` takes the lexicographically first separated subset with its
-batched fit and stops enumerating at its chunk.
+Squared and exponential subsets are fit in chunks: the columns x_S of a chunk
+(signed, y * x_S, for the exponential loss) are stacked into one
+(subsets, k, n) array of at most `_CHUNK_BYTES`, and its k x k systems are
+solved at once by an eigendecomposition whose tiny eigenvalues count as zero,
+so a zero or repeated column gets the least-norm solution. Squared loss takes
+one Newton step from 0, exact on a quadratic, and reads each risk from its
+residuals; its k x k system squares a subset's condition number, so one past
+about 5e7 counts as singular. Exponential loss takes damped Newton steps
+(Boyd & Vandenberghe, Convex Optimization, 9.5). Each subset backtracks its
+own step from 1 until Armijo's condition holds, with the solvers' constants;
+a nonfinite trial risk is rejected. A subset stops once it holds the
+certificate its descent fit used, max |gradient| <= CERTIFICATE_TOL, and half
+its squared Newton decrement (the decrease a further step predicts) is at
+most `_DECREMENT_TOL`: Newton reaches the certificate in long steps, and the
+certificate alone left fits up to 2e-9 above their minimum. A subset also
+stops on a line search that finds no acceptable step, or after
+`_SUBSET_CFG.max_iter` steps. A subset whose margins become strictly
+separated has no minimizer and is flagged unbounded at its last iterate.
+Newton keeps stepping it toward its infimum 0 until its gradient and
+decrement pass the same test, or the line search fails. That infimum is below
+the risk of every subset that cannot separate the labels (at least 1/n, since
+one margin is never positive), so `best_subset` takes the lexicographically
+first separated subset with its batched fit and stops enumerating at its
+chunk. Absolute loss fits each subset's columns as their own dataset with
+`solve_ridge_constrained(..., inf)`: an infinite l2 ball.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from l1risk.solvers import CERTIFICATE_TOL, SolveConfig, _ARMIJO, \
 DEFAULT_BUDGET = 1_000_000
 
 _SUBSET_CFG = SolveConfig(max_iter=2000, tol=1e-12)
-# Bytes of stacked signed columns in one batch of exponential subset fits.
+# Bytes of stacked columns in one batch of squared or exponential subset fits.
 _CHUNK_BYTES = 2 * 1024 * 1024
 # A certified Newton fit stops once its predicted remaining decrease, half
 # the squared Newton decrement, is at most this.
@@ -85,25 +85,16 @@ def _embed(m: int, subset, values) -> Coefficients:
 
 
 def _fit_subset(d: Dataset, subset, loss: LossSpec):
-    """Minimize squared or absolute empirical risk over coefficients
-    supported on `subset`: (coefficients, risk)."""
-    xs = d.x[:, list(subset)]
-    if loss.kind == "squared":
-        values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
-        residual = d.y - xs @ values
-        return values, float((residual * residual).mean())
-    # nonsmooth: the subgradient descent almost never certifies and stalls
-    beta, report = solve_ridge_constrained(Dataset(xs, d.y), loss, np.inf,
-                                           _SUBSET_CFG)
+    """Absolute-loss fit on the columns of `subset`: (coefficients, risk)."""
+    # the subgradient descent almost never certifies and stalls
+    beta, report = solve_ridge_constrained(Dataset(d.x[:, list(subset)], d.y),
+                                           loss, np.inf, _SUBSET_CFG)
     return beta.values, report.objective
 
 
 def _newton_directions(hess, grad):
-    """-pinv(H) @ g for a stack of symmetric positive semidefinite H.
-
-    Eigenvalues at most k * eps times the largest count as zero, so a
-    singular H gets the least-norm solution.
-    """
+    """-pinv(H) @ g for a stack of symmetric positive semidefinite H, with
+    eigenvalues at most k * eps times the largest counted as zero."""
     w, vecs = np.linalg.eigh(hess)
     cutoff = w[:, -1:] * (hess.shape[-1] * np.finfo(float).eps)
     inverse = np.divide(1.0, w, out=np.zeros_like(w), where=w > cutoff)
@@ -139,9 +130,8 @@ def _newton_exponential(z):
         slope = np.einsum("bj,bj->b", grad, direction)  # -(Newton decrement)^2
         sep = np.all(u > 0.0, axis=1)
         certified = np.abs(grad).max(axis=1, initial=0.0) <= CERTIFICATE_TOL
-        stop = stuck | (certified & (-0.5 * slope <= _DECREMENT_TOL))
-        if steps == _SUBSET_CFG.max_iter:
-            stop[:] = True
+        stop = (stuck | (certified & (-0.5 * slope <= _DECREMENT_TOL))
+                | (steps == _SUBSET_CFG.max_iter))
         if stop.any():
             beta[live[stop]] = b[stop]
             risk[live[stop]] = obj[stop]
@@ -180,15 +170,20 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec):
     subsets can be flagged."""
     combos = itertools.combinations(range(d.m), k)
     size = max(1, _CHUNK_BYTES // (d.x.itemsize * d.n * max(k, 1)))
-    if loss.kind == "exponential":
-        signed = np.ascontiguousarray((d.x * d.y[:, None]).T)  # row j: y * x_j
+    rows = (d.x * d.y[:, None] if loss.kind == "exponential" else d.x).T.copy()
     while chunk := list(itertools.islice(combos, size)):
-        if loss.kind != "exponential":
+        idx = np.array(chunk, dtype=np.intp)  # rows[idx] is (subsets, k, n)
+        if loss.kind == "absolute":
             yield (chunk, *zip(*(_fit_subset(d, s, loss) for s in chunk)),
                    [False] * len(chunk))
-            continue
-        yield (chunk, *_newton_exponential(
-            signed[np.array(chunk, dtype=np.intp)]))
+        elif loss.kind == "exponential":  # unnamed, so Newton can free it
+            yield (chunk, *_newton_exponential(rows[idx]))
+        else:  # squared: one Newton step from 0 is exact on a quadratic
+            xs = rows[idx]
+            beta = _newton_directions(np.einsum("bjn,bln->bjl", xs, xs),
+                                      -np.einsum("bjn,n->bj", xs, d.y))
+            residual = d.y - np.einsum("bjn,bj->bn", xs, beta)
+            yield chunk, beta, (residual**2).mean(1), [False] * len(chunk)
 
 
 def best_subset(d: Dataset, k: int, loss: LossSpec,
@@ -220,6 +215,15 @@ def best_subset(d: Dataset, k: int, loss: LossSpec,
     return best
 
 
+def _check_grid(cube_radius: float, step: float) -> None:
+    """`grid_best`'s checks of its cube and step, which need no data."""
+    if not 0 < cube_radius < math.inf:  # NaN fails too
+        raise ValueError("cube_radius must be positive and finite")
+    if not 0 < step < math.inf or 2.0 * cube_radius / step == math.inf:
+        raise ValueError("step must be positive, finite and not so small "
+                         "that 2 * cube_radius / step overflows")
+
+
 def grid_best(d: Dataset, k: int, cube_radius: float, step: float,
               loss: LossSpec, budget: int = DEFAULT_BUDGET) -> SubsetSolution:
     """Best grid center over every size-k subset's cube [-cube_radius, cube_radius]^k.
@@ -231,11 +235,7 @@ def grid_best(d: Dataset, k: int, cube_radius: float, step: float,
     """
     if k < 1 or k > min(d.n, d.m):
         raise ValueError(f"k must lie in [1, min(n, m)] = [1, {min(d.n, d.m)}]")
-    if not 0 < cube_radius < math.inf:  # NaN fails too
-        raise ValueError("cube_radius must be positive and finite")
-    if not 0 < step < math.inf or 2.0 * cube_radius / step == math.inf:
-        raise ValueError("step must be positive, finite and not so small "
-                         "that 2 * cube_radius / step overflows")
+    _check_grid(cube_radius, step)
     q = max(1, math.ceil(2.0 * cube_radius / step - 1e-12))
     count = math.comb(d.m, k) * q ** k
     if count > budget:

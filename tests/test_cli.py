@@ -11,7 +11,8 @@ import pytest
 from l1risk import cli
 from l1risk.cli import COMMANDS, ArgError, build_parser, main, \
     parse_lambda_grid
-from l1risk.io import atomic_write_json, read_coefficients, write_dataset
+from l1risk.io import atomic_write_json, read_coefficients, read_dataset, \
+    write_dataset
 from l1risk.simgen import gen_null
 from l1risk.solvers import solve_penalized
 
@@ -170,6 +171,43 @@ def test_missing_flags_exit_2_before_any_file_is_read(argv, message,
     monkeypatch.setattr(cli, "read_dataset", refuse)
     assert main([argv[0], "--data", "nothere.csv", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["deviation", "--probes", "0", "--seed", "1"],
+     "probe_count must be positive"),
+    (["deviation", "--k", "0", "--seed", "1"], "need 1 <= k <= m"),
+    (["oracle", "--method", "grid", "--k", "1", "--step", "0"],
+     "step must be positive, finite and not so small that 2 * cube_radius "
+     "/ step overflows"),
+    (["oracle", "--method", "grid", "--k", "1", "--radius", "0"],
+     "cube_radius must be positive and finite"),
+], ids=["deviation probes 0", "deviation k 0", "grid step 0",
+        "grid radius 0"])
+def test_values_that_need_no_data_exit_1_before_any_file_is_read(
+        argv, message, linear_csv, tmp_path, monkeypatch, capsys):
+    reads = []
+
+    def record(path):
+        reads.append(path)
+        return read_dataset(path)
+
+    monkeypatch.setattr(cli, "read_dataset", record)
+    extra = ["--oracle-data", str(linear_csv)] if argv[0] == "deviation" \
+        else []
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--data", str(linear_csv), *argv[1:], *extra,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reads == []
+    assert not out.exists()
+    # the library raises the same message once the data is read
+    monkeypatch.setattr(cli, "_check_probes", lambda *a: None)
+    monkeypatch.setattr(cli, "_check_grid", lambda *a: None)
+    assert main([argv[0], "--data", str(linear_csv), *argv[1:], *extra,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reads
 
 
 @pytest.mark.parametrize("argv", [

@@ -99,9 +99,9 @@ def _reference_fits(d, k):
     return fits
 
 
-def _batched_fits(d, k):
+def _batched_fits(d, k, loss=EXPONENTIAL):
     return [(subset, float(risk), bool(flag))
-            for subsets, _, risks, flags in oracle._subset_fits(d, k, EXPONENTIAL)
+            for subsets, _, risks, flags in oracle._subset_fits(d, k, loss)
             for subset, risk, flag in zip(subsets, risks, flags)]
 
 
@@ -153,31 +153,69 @@ def test_exponential_ties_go_to_the_lexicographically_smallest_subset(
     assert fits[(0, 2)] == pytest.approx(one.risk, rel=1e-12)
 
 
-def test_zero_columns_and_the_empty_subset_fit_without_error():
+@pytest.mark.parametrize("loss", [EXPONENTIAL, SQUARED],
+                         ids=lambda loss: loss.kind)
+def test_zero_columns_and_the_empty_subset_fit_without_error(loss):
     g = gen_section4(200, 25, 1)
     d = Dataset(np.column_stack([np.zeros(200), g.x[:, 11], g.x[:, 3]]), g.y)
-    single = dict(r[:2] for r in _batched_fits(d, 1))
-    assert single[(0,)] == 1.0  # a zero column cannot move the margins
-    assert best_subset(d, 1, EXPONENTIAL).subset == (1,)
-    pairs = dict(r[:2] for r in _batched_fits(d, 2))
+    single = dict(r[:2] for r in _batched_fits(d, 1, loss))
+    # a zero column cannot move the fit: exp(0) = 1 and y^2 = 1
+    assert single[(0,)] == 1.0
+    assert best_subset(d, 1, loss).subset == (1,)
+    pairs = dict(r[:2] for r in _batched_fits(d, 2, loss))
     assert pairs[(0, 1)] == pytest.approx(single[(1,)], rel=1e-12)
-    assert best_subset(d, 2, EXPONENTIAL).subset == (1, 2)
-    empty = best_subset(d, 0, EXPONENTIAL)
+    assert best_subset(d, 2, loss).subset == (1, 2)
+    empty = best_subset(d, 0, loss)
     assert empty.subset == () and empty.risk == 1.0
 
 
-def test_collinear_columns_get_the_least_norm_fit():
+@pytest.mark.parametrize("loss", [EXPONENTIAL, SQUARED],
+                         ids=lambda loss: loss.kind)
+def test_collinear_columns_get_the_least_norm_fit(loss):
     # [a, 3a] has a Hessian that is singular up to rounding: the step must
     # stay in its range, giving coefficients c * (1, 3) / 10 for the
     # single-column fit c, not an arbitrary split along the null direction
     g = gen_section4(200, 25, 1)
     a = g.x[:, 11]
-    single = best_subset(Dataset(a[:, None], g.y), 1, EXPONENTIAL)
+    single = best_subset(Dataset(a[:, None], g.y), 1, loss)
     c = single.beta.values[0]
     [(_, beta, risk, _)] = oracle._subset_fits(
-        Dataset(np.column_stack([a, 3.0 * a]), g.y), 2, EXPONENTIAL)
+        Dataset(np.column_stack([a, 3.0 * a]), g.y), 2, loss)
     np.testing.assert_allclose(beta[0], [0.1 * c, 0.3 * c], rtol=1e-6)
     assert risk[0] == pytest.approx(single.risk, rel=1e-12)
+
+
+def _lstsq_best(d, k):
+    """Per-subset least squares: the first subset of least risk."""
+    best = None
+    for subset in itertools.combinations(range(d.m), k):
+        xs = d.x[:, list(subset)]
+        values, *_ = np.linalg.lstsq(xs, d.y, rcond=None)
+        risk = float(np.mean((d.y - xs @ values) ** 2))
+        if best is None or risk < best[1]:
+            best = (subset, risk)
+    return best
+
+
+SQUARED_SETS = {
+    **{f"criterion 6 seed {s}": (lambda s=s: generate(ScenarioSpec(
+        "sparse_linear", 2000, {"beta_star": sparse_unit_vector(10, 2),
+                                "sigma": 0.1}), s), 2) for s in range(10)},
+    **{f"section4 {n}x30 k={k}": (lambda n=n: gen_section4(n, 25, 1), k)
+       for n in (60, 200) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("make, k", SQUARED_SETS.values(),
+                         ids=SQUARED_SETS.keys())
+def test_squared_best_subset_matches_per_subset_least_squares(make, k):
+    d = make()
+    subset, risk = _lstsq_best(d, k)
+    sol = best_subset(d, k, SQUARED)
+    assert sol.subset == subset
+    assert sol.risk == pytest.approx(risk, rel=1e-12, abs=0)
+    assert sol.risk == pytest.approx(empirical_risk(d, sol.beta, SQUARED),
+                                     rel=1e-12, abs=0)
 
 
 def test_one_subset_chunks_give_the_same_solution(monkeypatch):
