@@ -11,8 +11,11 @@ Squared and exponential subsets are fit in chunks: the columns x_S of a chunk
 solved at once by an eigendecomposition whose tiny eigenvalues count as zero,
 so a zero or repeated column gets the least-norm solution. Squared loss takes
 one Newton step from 0, exact on a quadratic, and reads each risk from its
-residuals; its k x k system squares a subset's condition number, so one past
-about 5e7 counts as singular. Exponential loss takes damped Newton steps
+residuals. Its k x k system squares a subset's condition number, so the few
+subsets whose Gram eigenvalue ratio, smallest over largest, is below 1e-9 (a
+condition number past about 3e4) are refit from an SVD of their own columns
+with `np.linalg.lstsq`'s cutoff: singular values at most max(n, k) * eps
+times the largest count as zero. Exponential loss takes damped Newton steps
 (Boyd & Vandenberghe, Convex Optimization, 9.5). Each subset backtracks its
 own step from 1 until Armijo's condition holds, with the solvers' constants;
 a nonfinite trial risk is rejected. A subset stops once it holds the
@@ -94,12 +97,13 @@ def _fit_subset(d: Dataset, subset, loss: LossSpec):
 
 def _newton_directions(hess, grad):
     """-pinv(H) @ g for a stack of symmetric positive semidefinite H, with
-    eigenvalues at most k * eps times the largest counted as zero."""
+    eigenvalues at most k * eps times the largest counted as zero, and the
+    eigenvalues of each H in increasing order."""
     w, vecs = np.linalg.eigh(hess)
     cutoff = w[:, -1:] * (hess.shape[-1] * np.finfo(float).eps)
     inverse = np.divide(1.0, w, out=np.zeros_like(w), where=w > cutoff)
     coords = np.einsum("bjl,bj->bl", vecs, grad) * inverse
-    return -np.einsum("bjl,bl->bj", vecs, coords)
+    return -np.einsum("bjl,bl->bj", vecs, coords), w
 
 
 def _newton_exponential(z):
@@ -126,7 +130,7 @@ def _newton_exponential(z):
     for steps in itertools.count():
         grad = np.einsum("bjn,bn->bj", z, d_margin) / n
         hess = np.einsum("bjn,bln->bjl", z * values[:, None, :], z) / n
-        direction = _newton_directions(hess, grad)
+        direction = _newton_directions(hess, grad)[0]
         slope = np.einsum("bj,bj->b", grad, direction)  # -(Newton decrement)^2
         sep = np.all(u > 0.0, axis=1)
         certified = np.abs(grad).max(axis=1, initial=0.0) <= CERTIFICATE_TOL
@@ -170,7 +174,9 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec):
     subsets can be flagged."""
     combos = itertools.combinations(range(d.m), k)
     size = max(1, _CHUNK_BYTES // (d.x.itemsize * d.n * max(k, 1)))
-    rows = (d.x * d.y[:, None] if loss.kind == "exponential" else d.x).T.copy()
+    if loss.kind != "absolute":  # absolute subsets are fit from d itself
+        rows = (d.x * d.y[:, None] if loss.kind == "exponential"
+                else d.x).T.copy()
     while chunk := list(itertools.islice(combos, size)):
         idx = np.array(chunk, dtype=np.intp)  # rows[idx] is (subsets, k, n)
         if loss.kind == "absolute":
@@ -180,8 +186,16 @@ def _subset_fits(d: Dataset, k: int, loss: LossSpec):
             yield (chunk, *_newton_exponential(rows[idx]))
         else:  # squared: one Newton step from 0 is exact on a quadratic
             xs = rows[idx]
-            beta = _newton_directions(np.einsum("bjn,bln->bjl", xs, xs),
-                                      -np.einsum("bjn,n->bj", xs, d.y))
+            beta, w = _newton_directions(np.einsum("bjn,bln->bjl", xs, xs),
+                                         -np.einsum("bjn,n->bj", xs, d.y))
+            ill = np.flatnonzero((w[:, :1] < 1e-9 * w[:, -1:]).any(axis=1))
+            if ill.size:  # least-norm refits from x_S.T = u * s @ vt
+                u, s, vt = np.linalg.svd(xs[ill], full_matrices=False)
+                cutoff = s[:, :1] * (max(d.n, k) * np.finfo(float).eps)
+                inverse = np.divide(1.0, s, out=np.zeros_like(s),
+                                    where=s > cutoff)
+                beta[ill] = np.einsum("bjl,bl->bj", u, inverse * np.einsum(
+                    "bln,n->bl", vt, d.y))
             residual = d.y - np.einsum("bjn,bj->bn", xs, beta)
             yield chunk, beta, (residual**2).mean(1), [False] * len(chunk)
 

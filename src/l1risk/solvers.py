@@ -25,12 +25,18 @@ Smooth-loss l1 fits on wide designs solve on a growing working set of
 columns (Celer; Massias, Gramfort & Salmon 2018). The first set holds the
 `_WS_FIRST` columns with the largest |gradient| at beta = 0, the ranking
 that strong rules (Tibshirani et al. 2012) screen by. Each pass runs the
-descent on that block of the design, warm-started from the current beta
-and step length; then the gradient and the certificate are recomputed on
-the full design. If the certificate fails, the largest violators outside
-the set join it, at least `_WS_GROW` of them and at least as many as the
-support holds: a violator is a column whose |gradient| exceeds lambda
-(penalized fits) or the smallest |gradient| on the support (l1-ball fits).
+descent on that block of the design, by one protocol for every pass: the
+caller hands the descent its start (zeros of the block's width for the
+first pass, the current beta on the set after that) and the last step
+length; the descent hands back, with its last iterate, the loss derivative
+d_margin at that iterate's margins, and writes its starting objective only
+into an empty trace (a nonempty one already ends with it). The full-design
+gradient x.T @ d_margin / n and the certificate follow without a second
+evaluation of the pass's last iterate. If the certificate fails, the
+largest violators outside the set join it, at least `_WS_GROW` of them and
+at least as many as the support holds: a violator is a column whose
+|gradient| exceeds lambda (penalized fits) or the smallest |gradient| on
+the support (l1-ball fits).
 The first pass, and a pass on a set that just grew, may stop loose: once
 the residual on the set is at most `_WS_INNER` times the last full-design
 residual, or `CERTIFICATE_TOL` if that is larger. For the first pass that
@@ -271,10 +277,10 @@ def _stops(form, beta, res, tol):
     return res <= CERTIFICATE_TOL or (res <= tol and form.stops_loose(beta))
 
 
-def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
-             tol=CERTIFICATE_TOL):
+def _descend(x, y, loss, form, cfg, beta, eta=_STEP_INIT, tol=CERTIFICATE_TOL,
+             trace=None):
     """Monotone composite descent of mean loss(y, x @ beta) + form.penalty(beta),
-    started at `beta` (zero if None) with first step length `eta`.
+    started at the caller's `beta` with first step length `eta`.
 
     Each step is `form.prox(v, eta)` at a Barzilai-Borwein length (short and
     long in turn where `form.alternates`; see the module docstring) cut back
@@ -284,21 +290,16 @@ def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
     holds. Candidate steps with nonfinite objective are rejected by the line
     search, so exponential-loss overflow only shortens the step. A `trace`
     list gets the objective of every accepted iterate, and the starting
-    objective only on a cold start (`beta` None): a warm start continues an
-    earlier pass, whose last objective the trace already holds. Returns the
-    last iterate, its report and the last step length.
+    objective only if it is empty: a nonempty trace holds an earlier pass,
+    whose last objective is this pass's start. Returns the last iterate, its
+    report, the last step length and the loss derivative at the last
+    iterate's margins, from which a caller takes its gradient on any design.
     """
-    n, m = x.shape
-    cold = beta is None
-    if cold:
-        beta = np.zeros(m)
-        margins = np.zeros(n)
-    else:
-        margins = x @ beta
-    values, d_margin = loss_terms(loss, y, margins)
+    n = x.shape[0]
+    values, d_margin = loss_terms(loss, y, x @ beta)
     obj = float(values.sum()) / n + form.penalty(beta)
     grad = x.T @ d_margin / n
-    if trace is not None and cold:
+    if trace is not None and not trace:
         trace.append(obj)
     rejections = 0
     iterations = 0
@@ -340,8 +341,8 @@ def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
             break
         rel_change = abs(obj - cand_obj) / max(1.0, abs(obj))
         prev_beta, prev_grad = beta, grad
-        beta, obj = cand, cand_obj
-        grad = x.T @ cand_d_margin / n
+        beta, obj, d_margin = cand, cand_obj, cand_d_margin
+        grad = x.T @ d_margin / n
         if trace is not None:
             trace.append(obj)
         res = form.residual(beta, grad, eta)
@@ -354,7 +355,7 @@ def _descend(x, y, loss, form, cfg, trace=None, beta=None, eta=_STEP_INIT,
             if small_steps == _STALL_STEPS:
                 reason = "stalled"
     return beta, SolveReport(iterations, obj, float(res), rejections,
-                             reason or "max_iter"), eta
+                             reason or "max_iter"), eta, d_margin
 
 
 def _largest(values: np.ndarray, k: int) -> np.ndarray:
@@ -390,7 +391,7 @@ def _working_set(x, y, loss, form, cfg, trace=None):
         return np.take(x, cols, axis=1, mode="clip",
                        out=flat[:n * cols.size].reshape(n, cols.size))
 
-    start, cols, block = None, None, x  # a cold first pass on all of x
+    cols, block = None, x  # a first pass on all of x
     eta, tol = _STEP_INIT, CERTIFICATE_TOL
     if form.grows and loss.kind != "absolute" and m > _WS_SMALL:
         grad = x.T @ loss_terms(loss, y, np.zeros(n))[1] / n
@@ -398,10 +399,11 @@ def _working_set(x, y, loss, form, cfg, trace=None):
         block = gather(cols)
         tol = max(tol, _WS_INNER * form.residual(np.zeros(cols.size),
                                                  grad[cols], eta))
+    start = np.zeros(block.shape[1])
     iterations = rejections = 0
     while True:
-        sub, report, eta = _descend(block, y, loss, form, replace(
-            cfg, max_iter=cfg.max_iter - iterations), trace, start, eta, tol)
+        sub, report, eta, d_margin = _descend(block, y, loss, form, replace(
+            cfg, max_iter=cfg.max_iter - iterations), start, eta, tol, trace)
         iterations += report.iterations
         rejections += report.step_rejections
         if cols is None:
@@ -409,7 +411,7 @@ def _working_set(x, y, loss, form, cfg, trace=None):
                                 step_rejections=rejections)
         beta = np.zeros(m)
         beta[cols] = sub
-        grad = x.T @ loss_terms(loss, y, block @ sub)[1] / n
+        grad = x.T @ d_margin / n
         res = form.residual(beta, grad, eta)
         reason = report.reason
         if reason == "certified" and res > CERTIFICATE_TOL:

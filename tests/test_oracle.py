@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,38 @@ def test_collinear_columns_get_the_least_norm_fit(loss):
     assert risk[0] == pytest.approx(single.risk, rel=1e-12)
 
 
+@pytest.mark.parametrize("e", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_nearly_collinear_squared_pairs_match_least_squares(e):
+    # [a, a + e * z] has a Gram eigenvalue ratio of about e**2 / 4: the eigen
+    # step alone is off by 1e-7 at e = 1e-6 and counts the pair as singular
+    # from e = 1e-8 (risk ~1 against ~0.37), so such subsets are refit from
+    # an SVD. Two stable least-squares solvers agree on the risk only to
+    # about cond(x) * eps, here 4e-10 (e = 1e-6) to 4e-7 (e = 1e-9): lstsq's
+    # returned residual sum and its recomputed residuals differ by up to
+    # 5e-8 at e = 1e-9
+    rng = np.random.default_rng(0)
+    a, z = rng.standard_normal((2, 200))
+    x, y = np.column_stack([a, a + e * z]), np.sign(z)
+    values, *_ = np.linalg.lstsq(x, y, rcond=None)
+    risk = float(np.mean((y - x @ values) ** 2))
+    sol = best_subset(Dataset(x, y), 2, SQUARED)
+    assert sol.risk == pytest.approx(
+        risk, rel=np.linalg.cond(x) * np.finfo(float).eps, abs=0)
+
+
+def test_absolute_subsets_make_no_copy_of_the_design():
+    # only the squared and exponential batches gather from a transposed
+    # copy of x; absolute subsets are fit from d itself
+    d = gen_section4(2000, 25, 1)
+    tracemalloc.start()
+    try:
+        best_subset(d, 1, ABSOLUTE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d.x.nbytes
+
+
 def _lstsq_best(d, k):
     """Per-subset least squares: the first subset of least risk."""
     best = None
@@ -255,7 +288,8 @@ def test_absolute_loss_subset_fits_match_the_descent_on_their_columns(d):
     # l2 ball of infinite radius, which solve_ridge_constrained poses
     subsets = list(itertools.combinations(range(d.m), 2))
     ref = [_descend(d.x[:, list(s)], d.y, ABSOLUTE, _Ball(np.inf, project_l2),
-                    oracle._SUBSET_CFG)[1].objective for s in subsets]
+                    oracle._SUBSET_CFG, np.zeros(len(s)))[1].objective
+           for s in subsets]
     risks = [oracle._fit_subset(d, s, ABSOLUTE)[1] for s in subsets]
     np.testing.assert_allclose(risks, ref, rtol=0, atol=1e-12)
     sol = best_subset(d, 2, ABSOLUTE)
