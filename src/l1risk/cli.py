@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for parse failures and the flag checks made
-here (`ArgError`), 1 for errors the library raises, out-of-range values and
-unreadable input among them. Solver non-convergence is reported in the
+here (`ArgError`: malformed grids and lists, a flag the mode needs, no
+closed-form reference), 1 for errors the library raises, out-of-range values
+and unreadable input among them. Solver non-convergence is reported in the
 output, not treated as an error.
 """
 from __future__ import annotations
@@ -89,7 +90,7 @@ def parse_lambda_grid(text: str) -> list:
 
 def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [kind(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",")]
     except ValueError:
         raise ArgError(f"bad {flag} value {text!r}") from None
 
@@ -99,23 +100,6 @@ def _progress(label: str):
         print(f"{label} {done}/{total}", file=sys.stderr,
               end="\r" if done < total else "\n", flush=True)
     return advance
-
-
-def _solve_config(args) -> SolveConfig:
-    try:
-        return SolveConfig(max_iter=args.max_iter, tol=args.tol)
-    except ValueError as e:
-        raise ArgError(str(e)) from None
-
-
-def _add_solver_flags(p):
-    default = SolveConfig()
-    p.add_argument("--max-iter", type=int, default=default.max_iter,
-                   help="iteration cap")
-    p.add_argument("--tol", type=float, default=default.tol,
-                   help="stall threshold on the relative objective change; "
-                        "solves stop earlier, at their first certified "
-                        "iterate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="l1 penalty level (penalty=l1)")
     p.add_argument("--budget", type=float,
                    help="ball radius (penalty=l1ball or l2ball)")
-    _add_solver_flags(p)
+    default = SolveConfig()
+    p.add_argument("--max-iter", type=int, default=default.max_iter,
+                   help="iteration cap")
+    p.add_argument("--tol", type=float, default=default.tol,
+                   help="stall threshold on the relative objective change; "
+                        "solves stop earlier, at their first certified "
+                        "iterate")
     p.add_argument("--out", required=True, help="output coefficients JSON")
 
     p = sub.add_parser("sweep", help="average penalized fits over a lambda grid")
@@ -168,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="var")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads (never changes the numbers)")
-    _add_solver_flags(p)
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", required=True, help="output sweep CSV")
 
@@ -203,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5, help="target support size")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--sigma", type=float, default=1.0)
-    _add_solver_flags(p)
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", required=True, help="output CSV")
 
@@ -216,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", default="0,0.25,0.5,1,2",
                    help="comma list of l1 budgets")
     p.add_argument("--reps", type=int, default=20)
-    _add_solver_flags(p)
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--out", required=True, help="output CSV")
 
@@ -255,7 +242,7 @@ def cmd_simgen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _solve_config(args)
+    cfg = SolveConfig(max_iter=args.max_iter, tol=args.tol)
     if args.penalty == "l1":
         if args.lam is None:
             raise ArgError("penalty l1 requires --lambda")
@@ -283,14 +270,11 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     lambdas = parse_lambda_grid(args.lambdas)
-    if args.threads < 1:
-        raise ArgError("--threads must be positive")
     scenario = ScenarioSpec("section4", args.n, {
         "big_m": args.big_m,
         "variance_convention": args.variance_convention})
-    rows = lambda_sweep(scenario, lambdas, args.reps, args.test_n,
-                        _solve_config(args), args.seed, threads=args.threads,
-                        progress=_progress("cell"))
+    rows = lambda_sweep(scenario, lambdas, args.reps, args.test_n, args.seed,
+                        threads=args.threads, progress=_progress("cell"))
     write_sweep(args.out, rows, {
         "scenario": scenario.kind, "n": scenario.n, **scenario.params,
         "lambdas": lambdas, "reps": args.reps, "test_n": args.test_n})
@@ -334,9 +318,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_persist(args) -> int:
     ns = _parse_list(args.ns, "--ns", int)
-    points = persistence_curve(ns, args.alpha, args.k, args.reps,
-                               _solve_config(args), args.seed, args.sigma,
-                               progress=_progress("rep"))
+    points = persistence_curve(ns, args.alpha, args.k, args.reps, args.seed,
+                               args.sigma, progress=_progress("rep"))
     write_persistence(args.out, points, args.reps, args.seed, {
         "ns": ns, "alpha": args.alpha, "k": args.k, "sigma": args.sigma})
     trend = " -> ".join(f"{p.excess_risk:.4f}" for p in points)
@@ -347,8 +330,7 @@ def cmd_persist(args) -> int:
 def cmd_ridge_demo(args) -> int:
     budgets = _parse_list(args.budgets, "--budgets", float)
     cmp = ridge_vs_l1_demo(args.n, args.m, args.sigma, args.delta, budgets,
-                           args.reps, _solve_config(args), args.seed,
-                           progress=_progress("rep"))
+                           args.reps, args.seed, progress=_progress("rep"))
     write_ridge_demo(args.out, cmp)
     print(f"wrote {args.out}: ridge risk {cmp.ridge_risk_mean:.4f}, "
           f"selected-l1 risk {cmp.selected_risk_mean:.4f}")
@@ -356,8 +338,6 @@ def cmd_ridge_demo(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    if not 0 <= args.radius < np.inf:  # NaN fails too
-        raise ArgError("--radius must be nonnegative and finite")
     if args.oracle_data is None and args.loss != "squared":
         raise ArgError("closed-form reference needs --loss squared; "
                        "pass --oracle-data otherwise")

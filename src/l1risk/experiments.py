@@ -7,7 +7,9 @@ and a per-cell function; the runner owns the (group, repetition) grid, runs
 it serially or on a thread pool, and returns one block of results per group.
 Every cell derives its seeds from the master seed and its own indices, so
 reruns are bit-identical and cells can run in any order (including across
-threads) without changing the emitted aggregates.
+threads) without changing the emitted aggregates. Every harness fits on the
+solvers' default stopping rule; only a direct `solve_*` call takes a
+`SolveConfig`.
 """
 from __future__ import annotations
 
@@ -197,9 +199,8 @@ def _run_cells(groups, reps, fn, threads=1, progress=None) -> list:
 
 
 def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
-                 cfg: SolveConfig = SolveConfig(), seed: int = 0, *,
-                 loss: LossSpec = EXPONENTIAL, threads: int = 1,
-                 progress=None) -> list[SweepRow]:
+                 seed: int = 0, *, loss: LossSpec = EXPONENTIAL,
+                 threads: int = 1, progress=None) -> list[SweepRow]:
     """Average penalized-fit summaries over repetitions for each lambda.
 
     Each (lambda, repetition) cell draws a fresh training set from stream
@@ -225,7 +226,7 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
 
     def sweep_cell(li, rep):
         train = generate(scenario, [seed, li, rep, 0])
-        beta, report = solve_penalized(train, loss, lambdas[li], cfg)
+        beta, report = solve_penalized(train, loss, lambdas[li])
         v_real = sample_risk(test_spec, [seed, li, rep, 1], beta, loss)
         rel = train.meta["relevant_range"]  # inclusive 1-based ranges
         prox = train.meta["proxy_range"]
@@ -258,8 +259,8 @@ def lambda_sweep(scenario: ScenarioSpec, lambdas, reps: int, test_n: int,
 
 
 def persistence_curve(ns, alpha: float, support_size: int, reps: int,
-                      cfg: SolveConfig = SolveConfig(), seed: int = 0,
-                      sigma: float = 1.0, progress=None) -> list[PersistencePoint]:
+                      seed: int = 0, sigma: float = 1.0,
+                      progress=None) -> list[PersistencePoint]:
     """Median excess population risk of the sqrt(k)-budget constrained fit.
 
     For each n the design has m = ceil(n^alpha) columns, the target is the
@@ -303,7 +304,7 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
 
     def persistence_cell(ni, rep):
         train = generate(specs[ni], [seed, ni, rep])
-        beta, _ = solve_constrained(train, SQUARED, budget, cfg)
+        beta, _ = solve_constrained(train, SQUARED, budget)
         # the population risk of beta* itself is sigma^2
         return population_risk(specs[ni], beta) - float(sigma) ** 2
 
@@ -316,8 +317,8 @@ def persistence_curve(ns, alpha: float, support_size: int, reps: int,
 
 
 def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
-                     reps: int, cfg: SolveConfig = SolveConfig(),
-                     seed: int = 0, progress=None) -> RidgeComparison:
+                     reps: int, seed: int = 0,
+                     progress=None) -> RidgeComparison:
     """Contrast l2-ball and l1-ball constrained fits on signal-free data.
 
     The population risk of any fit is sigma^2 + ||beta||_2^2 because y is
@@ -340,10 +341,10 @@ def ridge_vs_l1_demo(n: int, m: int, sigma: float, delta: float, l1_budgets,
     def ridge_cell(_, rep):
         train = generate(spec, [seed, rep, 0])
         held = generate(spec, [seed, rep, 1])
-        rbeta, _ = solve_ridge_constrained(train, SQUARED, delta, cfg)
+        rbeta, _ = solve_ridge_constrained(train, SQUARED, delta)
         pops, held_risks = [], []
         for b in budgets:
-            lbeta, _ = solve_constrained(train, SQUARED, b, cfg)
+            lbeta, _ = solve_constrained(train, SQUARED, b)
             pops.append(population_risk(spec, lbeta))
             held_risks.append(empirical_risk(held, lbeta, SQUARED))
         return (population_risk(spec, rbeta),

@@ -282,8 +282,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
             ["d.csv", "d.meta.json"]),
         "sweep": run_twice("sweep", [
             "sweep", "--n", "30", "--big-m", "25", "--lambdas", "0.1",
-            "--reps", "1", "--test-n", "20", "--threads", "2",
-            "--max-iter", "2000", "--tol", "1e-10", "--seed", "3",
+            "--reps", "1", "--test-n", "20", "--threads", "2", "--seed", "3",
             "--out", "{dir}/s.csv"],
             ["s.csv", "s.meta.json"]),
         "sparsify": run_twice("sparsify", [
@@ -292,13 +291,12 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
             ["sp.json"]),
         "persist": run_twice("persist", [
             "persist", "--ns", "20", "--alpha", "1.1", "--k", "2",
-            "--reps", "2", "--max-iter", "2000", "--tol", "1e-10",
-            "--seed", "3", "--out", "{dir}/p.csv"],
+            "--reps", "2", "--seed", "3", "--out", "{dir}/p.csv"],
             ["p.csv", "p.meta.json"]),
         "ridge-demo": run_twice("ridge-demo", [
             "ridge-demo", "--n", "20", "--m", "10", "--delta", "0.25",
-            "--budgets", "0,0.5", "--reps", "2", "--max-iter", "1000",
-            "--tol", "1e-9", "--seed", "3", "--out", "{dir}/r.csv"],
+            "--budgets", "0,0.5", "--reps", "2", "--seed", "3",
+            "--out", "{dir}/r.csv"],
             ["r.csv", "r.meta.json"]),
         "deviation": run_twice("deviation", [
             "deviation", "--data", str(prep / "train.csv"), "--probes", "10",

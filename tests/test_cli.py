@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from l1risk import cli
+from l1risk import cli, experiments
 from l1risk.cli import COMMANDS, ArgError, build_parser, main, \
     parse_lambda_grid
-from l1risk.io import atomic_write_json, read_coefficients, read_dataset, \
-    write_dataset
-from l1risk.simgen import gen_null
-from l1risk.solvers import solve_penalized
+from l1risk.experiments import lambda_sweep
+from l1risk.io import atomic_write_json, meta_path, read_coefficients, \
+    read_dataset, write_dataset
+from l1risk.simgen import ScenarioSpec, gen_null
+from l1risk.solvers import SolveConfig, solve_penalized
 
 
 def test_parse_lambda_grid():
@@ -144,12 +145,16 @@ def test_solve_flag_and_file_errors(linear_csv, tmp_path, capsys):
                  "--lambda", "0.1", "--out", out]) == 1
     assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
                  "--frob", "--out", out]) == 2
-    # solver settings SolveConfig rejects are flag errors too
-    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "0"],
-                  ["--tol", "inf"]):
-        assert main(["solve", "--data", str(linear_csv), "--lambda", "0.1",
-                     *flags, "--out", out]) == 2
-        assert "error:" in capsys.readouterr().err
+    capsys.readouterr()
+    # solver settings SolveConfig rejects are library errors, raised before
+    # the data is read
+    for flags, message in ((["--max-iter", "0"], "max_iter"),
+                           (["--tol", "-1"], "tol"), (["--tol", "0"], "tol"),
+                           (["--tol", "inf"], "tol")):
+        assert main(["solve", "--data", str(tmp_path / "nope.csv"),
+                     "--lambda", "0.1", *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "nope.csv" not in err
     assert not Path(out).exists()
 
 
@@ -232,8 +237,7 @@ def test_nan_parameters_exit_1_and_write_nothing(argv, linear_csv, tmp_path,
 
 def test_sweep_cli_round_trip(tmp_path, capsys):
     args = ["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.05:0.05:0.1",
-            "--reps", "2", "--test-n", "30", "--threads", "2",
-            "--max-iter", "2000", "--tol", "1e-10", "--seed", "5"]
+            "--reps", "2", "--test-n", "30", "--threads", "2", "--seed", "5"]
     assert main(args + ["--out", str(tmp_path / "s1.csv")]) == 0
     assert main(args + ["--out", str(tmp_path / "s2.csv")]) == 0
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
@@ -243,12 +247,48 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     assert [float(line.split(",")[0]) for line in lines] == [0.05, 0.1]
     assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1:0:0.2",
                  "--seed", "5", "--out", str(tmp_path / "s3.csv")]) == 2
-    for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--threads", "0"]):
-        assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1",
-                     "--reps", "1", *flags, "--seed", "5",
-                     "--out", str(tmp_path / "s4.csv")]) == 2
-    assert not (tmp_path / "s4.csv").exists()
     capsys.readouterr()
+    # lambda_sweep's own check, made before any cell is drawn
+    assert main(["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1",
+                 "--reps", "1", "--threads", "0", "--seed", "5",
+                 "--out", str(tmp_path / "s4.csv")]) == 1
+    assert capsys.readouterr().err == "error: threads must be positive\n"
+    assert not (tmp_path / "s4.csv").exists()
+
+
+def test_uncertified_sweep_cells_are_counted(tmp_path, monkeypatch, capsys):
+    def one_iteration(train, loss, lam):
+        return solve_penalized(train, loss, lam, SolveConfig(max_iter=1))
+
+    # one iteration cannot certify lambda = 0.01; at lambda = 2 the start,
+    # beta = 0, is already certified
+    monkeypatch.setattr(experiments, "solve_penalized", one_iteration)
+    rows = lambda_sweep(ScenarioSpec("section4", 40, {"big_m": 25}),
+                        [0.01, 2.0], reps=2, test_n=30, seed=5)
+    assert [r.n_unconverged for r in rows] == [2, 0]
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--n", "40", "--big-m", "25",
+                 "--lambdas", "0.01:1.99:2", "--reps", "2", "--test-n", "30",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        f"wrote {out}: 2 lambdas x 2 reps, 2 unconverged cells\n"
+    assert json.loads(meta_path(out).read_text())["unconverged"] == \
+        [[0.01, 2], [2.0, 0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "40", "--big-m", "25", "--lambdas", "0.1"],
+    ["persist", "--ns", "20"],
+    ["ridge-demo"],
+], ids=lambda argv: argv[0])
+def test_experiment_commands_take_no_solver_flags(argv, tmp_path, capsys):
+    # they run the solvers' own stopping rule; only solve takes these flags
+    out = tmp_path / "out.csv"
+    for flags in (["--max-iter", "2000"], ["--tol", "1e-10"]):
+        assert main([*argv, *flags, "--seed", "1", "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in \
+            capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sparsify_cli_preserves_the_l1_norm(linear_csv, tmp_path, capsys):
@@ -288,14 +328,17 @@ def test_oracle_cli_exact_and_grid(linear_csv, tmp_path, capsys):
 def test_persist_cli(tmp_path, capsys):
     out = tmp_path / "persist.csv"
     assert main(["persist", "--ns", "20,40", "--alpha", "1.1", "--k", "2",
-                 "--reps", "2", "--max-iter", "2000", "--tol", "1e-10",
-                 "--seed", "9", "--out", str(out)]) == 0
+                 "--reps", "2", "--seed", "9", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,m,excess_risk,budget,reps,seed"
     assert len(lines) == 3
     assert main(["persist", "--ns", "a,b", "--seed", "9",
                  "--out", str(out)]) == 2
     empty = tmp_path / "empty.csv"
+    # an empty item is a malformed list, not one size fewer
+    for ns in ("20,,40", "20,", ""):
+        assert main(["persist", "--ns", ns, "--seed", "9",
+                     "--out", str(empty)]) == 2
     assert main(["persist", "--ns", "20", "--reps", "0", "--seed", "9",
                  "--out", str(empty)]) == 1
     assert not empty.exists()
@@ -320,13 +363,16 @@ def test_persist_names_alpha_and_m_when_m_is_too_large(
 def test_ridge_demo_cli(tmp_path, capsys):
     out = tmp_path / "ridge.csv"
     assert main(["ridge-demo", "--n", "20", "--m", "10", "--delta", "0.25",
-                 "--budgets", "0,0.5", "--reps", "2", "--max-iter", "2000",
-                 "--tol", "1e-10", "--seed", "4", "--out", str(out)]) == 0
+                 "--budgets", "0,0.5", "--reps", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
     kinds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
     assert kinds == ["ridge", "l1", "l1", "l1_selected"]
     assert main(["ridge-demo", "--budgets", "0,x", "--seed", "4",
                  "--out", str(out)]) == 2
     empty = tmp_path / "empty.csv"
+    for budgets in ("0,,1", "0,1,"):
+        assert main(["ridge-demo", "--budgets", budgets, "--seed", "4",
+                     "--out", str(empty)]) == 2
     assert main(["ridge-demo", "--reps", "0", "--seed", "4",
                  "--out", str(empty)]) == 1
     assert not empty.exists()
@@ -396,8 +442,9 @@ def test_deviation_radius_must_be_finite_and_nonnegative(radius, linear_csv,
                                                          tmp_path, capsys):
     out = tmp_path / "dev.json"
     assert main(["deviation", "--data", str(linear_csv), "--probes", "5",
-                 "--radius", radius, "--seed", "1", "--out", str(out)]) == 2
-    assert "--radius" in capsys.readouterr().err
+                 "--radius", radius, "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: radius must be nonnegative and finite\n"
     assert not out.exists()
 
 

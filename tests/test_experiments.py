@@ -21,11 +21,8 @@ from l1risk.experiments import (
 from l1risk.risk import ABSOLUTE, EXPONENTIAL, SQUARED, empirical_risk, \
     group_l1
 from l1risk.simgen import ScenarioSpec, gen_null, generate, population_risk
-from l1risk.solvers import SolveConfig, solve_penalized
+from l1risk.solvers import solve_penalized
 
-# deliberately loose solver settings: these tests exercise bookkeeping, not
-# certificate-grade optimization
-FAST = SolveConfig(max_iter=2000, tol=1e-10)
 SMALL = ScenarioSpec("section4", 60, {"big_m": 25})
 
 
@@ -37,8 +34,8 @@ def test_sweep_row_group_norms_must_fit_inside_the_total():
 
 def test_lambda_sweep_rows_and_determinism():
     lambdas = [0.05, 0.2]
-    rows = lambda_sweep(SMALL, lambdas, reps=2, test_n=50, cfg=FAST, seed=3)
-    again = lambda_sweep(SMALL, lambdas, reps=2, test_n=50, cfg=FAST, seed=3)
+    rows = lambda_sweep(SMALL, lambdas, reps=2, test_n=50, seed=3)
+    again = lambda_sweep(SMALL, lambdas, reps=2, test_n=50, seed=3)
     assert rows == again
     assert [r.lam for r in rows] == lambdas
     for r in rows:
@@ -50,8 +47,8 @@ def test_lambda_sweep_rows_and_determinism():
 
 
 def test_lambda_sweep_threads_do_not_change_the_answer():
-    rows = lambda_sweep(SMALL, [0.1], reps=3, test_n=40, cfg=FAST, seed=1)
-    threaded = lambda_sweep(SMALL, [0.1], reps=3, test_n=40, cfg=FAST, seed=1,
+    rows = lambda_sweep(SMALL, [0.1], reps=3, test_n=40, seed=1)
+    threaded = lambda_sweep(SMALL, [0.1], reps=3, test_n=40, seed=1,
                             threads=4)
     assert rows == threaded
 
@@ -59,24 +56,24 @@ def test_lambda_sweep_threads_do_not_change_the_answer():
 def test_lambda_sweep_threads_do_not_change_the_answer_on_blas_sized_designs():
     # 200 x 305 products are large enough for OpenBLAS to split across threads
     spec = ScenarioSpec("section4", 200, {"big_m": 300})
-    rows = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, cfg=FAST,
-                        seed=4, threads=1)
-    threaded = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, cfg=FAST,
-                            seed=4, threads=2)
+    rows = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, seed=4,
+                        threads=1)
+    threaded = lambda_sweep(spec, [0.05, 0.1], reps=2, test_n=200, seed=4,
+                            threads=2)
     assert rows == threaded
 
 
 # each runs two cells and passes progress through
 HARNESSES = {
     "sweep-1": lambda progress: lambda_sweep(
-        SMALL, [0.1], reps=2, test_n=30, cfg=FAST, progress=progress),
+        SMALL, [0.1], reps=2, test_n=30, progress=progress),
     "sweep-2": lambda progress: lambda_sweep(
-        SMALL, [0.1], reps=2, test_n=30, cfg=FAST, threads=2,
+        SMALL, [0.1], reps=2, test_n=30, threads=2,
         progress=progress),
     "persistence": lambda progress: persistence_curve(
-        [20], 1.2, 2, 2, FAST, progress=progress),
+        [20], 1.2, 2, 2, progress=progress),
     "ridge": lambda progress: ridge_vs_l1_demo(
-        20, 30, 1.0, 0.5, [0.5], 2, FAST, progress=progress),
+        20, 30, 1.0, 0.5, [0.5], 2, progress=progress),
 }
 
 
@@ -139,8 +136,7 @@ def test_concurrent_sweeps_give_the_serial_rows_and_restore_the_count(
     get = openblas_at_two_threads
     sweeps = {"a": (SMALL, [0.05, 0.2], 1),
               "b": (ScenarioSpec("section4", 80, {"big_m": 30}), [0.1], 2)}
-    serial = {name: lambda_sweep(spec, lams, reps=2, test_n=40, cfg=FAST,
-                                 seed=seed)
+    serial = {name: lambda_sweep(spec, lams, reps=2, test_n=40, seed=seed)
               for name, (spec, lams, seed) in sweeps.items()}
     assert get() == 2
     start = threading.Barrier(2)
@@ -150,7 +146,7 @@ def test_concurrent_sweeps_give_the_serial_rows_and_restore_the_count(
         spec, lams, seed = sweeps[name]
         start.wait(timeout=30)
         concurrent[name] = lambda_sweep(spec, lams, reps=2, test_n=40,
-                                        cfg=FAST, seed=seed, threads=2)
+                                        seed=seed, threads=2)
 
     workers = [threading.Thread(target=run, args=(name,)) for name in sweeps]
     for w in workers:
@@ -211,7 +207,7 @@ def test_run_cells_keeps_cell_order():
         assert seen == [(d, 8) for d in range(1, 9)]
 
 
-def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):
+def _materialised_sweep(scenario, lambdas, reps, test_n, seed):
     """lambda_sweep's rows written out with every test set drawn as a
     Dataset: (v_training, v_real, b1_norm, b2_norm, beta_l1) per lambda."""
     rows = []
@@ -220,7 +216,7 @@ def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):
         for rep in range(reps):
             train = generate(scenario, [seed, li, rep, 0])
             test = generate(replace(scenario, n=test_n), [seed, li, rep, 1])
-            beta, _ = solve_penalized(train, EXPONENTIAL, lam, cfg)
+            beta, _ = solve_penalized(train, EXPONENTIAL, lam)
             cols.append((empirical_risk(train, beta, EXPONENTIAL),
                          empirical_risk(test, beta, EXPONENTIAL),
                          group_l1(beta, range(1, 26)),
@@ -233,9 +229,9 @@ def _materialised_sweep(scenario, lambdas, reps, test_n, cfg, seed):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_lambda_sweep_matches_materialised_test_sets(threads):
     lambdas = [0.03, 0.1]
-    rows = lambda_sweep(SMALL, lambdas, reps=3, test_n=70, cfg=FAST, seed=8,
+    rows = lambda_sweep(SMALL, lambdas, reps=3, test_n=70, seed=8,
                         threads=threads)
-    want = _materialised_sweep(SMALL, lambdas, 3, 70, FAST, 8)
+    want = _materialised_sweep(SMALL, lambdas, 3, 70, 8)
     for row, (v_training, v_real, b1, b2, l1) in zip(rows, want):
         assert (row.v_training, row.b1_norm, row.b2_norm, row.beta_l1) == \
             (v_training, b1, b2, l1)
@@ -250,32 +246,31 @@ def test_lambda_sweep_validation(monkeypatch):
     monkeypatch.setattr(experiments, "generate", _no_draws)
     monkeypatch.setattr(experiments, "sample_risk", _no_draws)
     with pytest.raises(ValueError):
-        lambda_sweep(SMALL, [], reps=1, test_n=10, cfg=FAST)
+        lambda_sweep(SMALL, [], reps=1, test_n=10)
     with pytest.raises(ValueError):
-        lambda_sweep(SMALL, [0.1], reps=0, test_n=10, cfg=FAST)
+        lambda_sweep(SMALL, [0.1], reps=0, test_n=10)
     with pytest.raises(ValueError, match="lambda must be nonnegative"):
-        lambda_sweep(SMALL, [0.1, -0.1], reps=2, test_n=10, cfg=FAST)
+        lambda_sweep(SMALL, [0.1, -0.1], reps=2, test_n=10)
     for threads in (0, -1):
         with pytest.raises(ValueError):
-            lambda_sweep(SMALL, [0.1], reps=1, test_n=10, cfg=FAST,
-                         threads=threads)
+            lambda_sweep(SMALL, [0.1], reps=1, test_n=10, threads=threads)
     null_spec = ScenarioSpec("null", 20, {"m": 3, "sigma": 1.0})
     with pytest.raises(ValueError):
-        lambda_sweep(null_spec, [0.1], reps=1, test_n=10, cfg=FAST)
+        lambda_sweep(null_spec, [0.1], reps=1, test_n=10)
 
 
 def test_lambda_sweep_reports_progress():
     seen = []
-    lambda_sweep(SMALL, [0.1], reps=2, test_n=30, cfg=FAST,
+    lambda_sweep(SMALL, [0.1], reps=2, test_n=30,
                  progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
 
 
 def test_persistence_curve_small_instance():
     points = persistence_curve((20,), alpha=1.1, support_size=2, reps=3,
-                               cfg=FAST, seed=5)
+                               seed=5)
     again = persistence_curve((20,), alpha=1.1, support_size=2, reps=3,
-                              cfg=FAST, seed=5)
+                              seed=5)
     assert points == again
     p = points[0]
     assert isinstance(p, PersistencePoint)
@@ -288,9 +283,9 @@ def test_persistence_curve_small_instance():
 
 def test_persistence_curve_accepts_an_iterator_of_ns():
     from_tuple = persistence_curve((20, 40), alpha=1.1, support_size=2,
-                                   reps=1, cfg=FAST, seed=5)
+                                   reps=1, seed=5)
     from_iter = persistence_curve(iter([20, 40]), alpha=1.1, support_size=2,
-                                  reps=1, cfg=FAST, seed=5)
+                                  reps=1, seed=5)
     assert [p.n for p in from_iter] == [20, 40]
     assert from_iter == from_tuple
 
@@ -300,15 +295,12 @@ def test_persistence_curve_validation(monkeypatch):
     for ns, alpha, reps in (((20,), 1.0, 1), ((5,), 1.2, 1),
                             ((1600, 5), 1.2, 1), ((20,), 1.2, 0)):
         with pytest.raises(ValueError):
-            persistence_curve(ns, alpha=alpha, support_size=2, reps=reps,
-                              cfg=FAST)
+            persistence_curve(ns, alpha=alpha, support_size=2, reps=reps)
 
 
 def test_ridge_demo_bookkeeping(monkeypatch):
-    demo = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2,
-                            cfg=FAST, seed=4)
-    again = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2,
-                             cfg=FAST, seed=4)
+    demo = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2, seed=4)
+    again = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2, seed=4)
     assert demo == again
     # the zero-budget fit is the origin: population risk is exactly sigma^2
     assert demo.budget_risks[0] == (0.0, 1.0)
@@ -321,7 +313,7 @@ def test_ridge_demo_bookkeeping(monkeypatch):
     for budgets, reps, delta in (((), 2, 0.25), ((0.0, 1.0), 0, 0.25),
                                  ((1.0, -1.0), 2, 0.25), ((1.0,), 2, -0.25)):
         with pytest.raises(ValueError):
-            ridge_vs_l1_demo(20, 10, 1.0, delta, budgets, reps=reps, cfg=FAST)
+            ridge_vs_l1_demo(20, 10, 1.0, delta, budgets, reps=reps)
 
 
 def test_sup_deviation_against_itself_is_zero():

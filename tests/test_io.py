@@ -362,8 +362,7 @@ def test_persistence_file(tmp_path):
 
 
 def test_ridge_demo_file(tmp_path):
-    cmp = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2,
-                           cfg=SolveConfig(max_iter=500, tol=1e-9), seed=1)
+    cmp = ridge_vs_l1_demo(20, 10, 1.0, 0.25, (0.0, 1.0), reps=2, seed=1)
     p = tmp_path / "ridge.csv"
     write_ridge_demo(p, cmp)
     lines = p.read_text().splitlines()

@@ -22,7 +22,6 @@ NAN, INF = float("nan"), float("inf")
 D = Dataset(np.eye(4, 3), np.array([1.0, -1.0, 1.0, -1.0]))
 ZERO = Coefficients.zeros(3)
 SECTION4 = ScenarioSpec("section4", 20, {"big_m": 25})
-CFG = SolveConfig(max_iter=50)
 
 CASES = {
     "config tol": (lambda: SolveConfig(tol=NAN), "tol"),
@@ -36,29 +35,27 @@ CASES = {
     "penalized inf": (lambda: solve_penalized(D, EXPONENTIAL, INF), "lambda"),
     "l1 ball": (lambda: solve_constrained(D, SQUARED, NAN), "l1 budget"),
     "l2 ball": (lambda: solve_ridge_constrained(D, SQUARED, NAN), "l2 radius"),
-    "sweep nan": (lambda: lambda_sweep(SECTION4, [0.1, NAN], 1, 10, CFG),
-                  "lambda"),
-    "sweep inf": (lambda: lambda_sweep(SECTION4, [INF], 1, 10, CFG), "lambda"),
-    "persist alpha": (lambda: persistence_curve([20], NAN, 2, 1, CFG),
-                      "alpha"),
-    "persist alpha inf": (lambda: persistence_curve([20], INF, 2, 1, CFG),
+    "sweep nan": (lambda: lambda_sweep(SECTION4, [0.1, NAN], 1, 10), "lambda"),
+    "sweep inf": (lambda: lambda_sweep(SECTION4, [INF], 1, 10), "lambda"),
+    "persist alpha": (lambda: persistence_curve([20], NAN, 2, 1), "alpha"),
+    "persist alpha inf": (lambda: persistence_curve([20], INF, 2, 1),
                           "alpha"),
-    "persist alpha overflow": (lambda: persistence_curve([20], 400.0, 2, 1,
-                                                         CFG), "alpha"),
-    "persist empty": (lambda: persistence_curve([], 1.2, 2, 1, CFG), "one n"),
-    "persist k zero": (lambda: persistence_curve([20], 1.2, 0, 1, CFG),
+    "persist alpha overflow": (lambda: persistence_curve([20], 400.0, 2, 1),
+                               "alpha"),
+    "persist empty": (lambda: persistence_curve([], 1.2, 2, 1), "one n"),
+    "persist k zero": (lambda: persistence_curve([20], 1.2, 0, 1),
                        "support size k must be at least 1"),
-    "persist k above m": (lambda: persistence_curve([20], 1.2, 38, 1, CFG),
+    "persist k above m": (lambda: persistence_curve([20], 1.2, 38, 1),
                           "k = 38 exceeds the m = 37 columns at n = 20"),
-    "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, CFG,
-                                                sigma=NAN), "sigma"),
-    "ridge delta": (lambda: ridge_vs_l1_demo(20, 10, 1.0, NAN, [0.5], 1, CFG),
+    "persist sigma": (lambda: persistence_curve([20], 1.2, 2, 1, sigma=NAN),
+                      "sigma"),
+    "ridge delta": (lambda: ridge_vs_l1_demo(20, 10, 1.0, NAN, [0.5], 1),
                     "l2 radius"),
-    "ridge delta zero": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.0, [0.5], 1,
-                                                  CFG), "l2 radius"),
-    "ridge budget": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.5, [0.0, NAN], 1,
-                                              CFG), "l1 budget"),
-    "ridge sigma": (lambda: ridge_vs_l1_demo(20, 10, NAN, 0.5, [0.5], 1, CFG),
+    "ridge delta zero": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.0, [0.5], 1),
+                         "l2 radius"),
+    "ridge budget": (lambda: ridge_vs_l1_demo(20, 10, 1.0, 0.5, [0.0, NAN], 1),
+                     "l1 budget"),
+    "ridge sigma": (lambda: ridge_vs_l1_demo(20, 10, NAN, 0.5, [0.5], 1),
                     "sigma"),
     "null sigma": (lambda: ScenarioSpec("null", 10, {"m": 3, "sigma": NAN}),
                    "sigma"),
